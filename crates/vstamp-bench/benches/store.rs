@@ -7,11 +7,9 @@
 //!
 //! * `store-write` — one steady-state put-with-context session cycle (see
 //!   below);
-//! * `store-read` — `get` against a key holding k siblings, A/B-ing the
+//! * `store-read` — `get` against a key holding k siblings: the
 //!   contention-free snapshot path (`Cluster::get`: one `Arc` clone under
-//!   the read lock) against the reference locked path
-//!   (`Cluster::get_materialized`: value clones plus a context clone under
-//!   the same lock — what every read paid before the snapshot design).
+//!   the read lock).
 //!
 //! Each measured iteration is one steady-state **session cycle** on a
 //! single-replica cluster that starts with one settled (re-minted)
@@ -79,16 +77,6 @@ fn bench_read_backend<B: StoreBackend>(
             bench.iter(|| {
                 let read = cluster.get(0, KEY);
                 black_box(read.live_len());
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("{label}/locked"), siblings),
-        &siblings,
-        |bench, _| {
-            bench.iter(|| {
-                let (values, context) = cluster.get_materialized(0, KEY);
-                black_box((values.len(), context.is_some()));
             });
         },
     );

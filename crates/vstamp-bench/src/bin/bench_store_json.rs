@@ -296,41 +296,38 @@ fn run_scaling(
     }
 }
 
-/// Profiled passes per backend per scenario: each backend runs once with
-/// the batched per-shard delta apply (as shipped) and once through the
-/// per-key reference path, so the `profile` JSON section records what the
-/// batching actually saves — lock acquisitions, context rebuilds and GC
-/// watermark probes per exchange, side by side.
+/// One profiled pass per backend per scenario: every cell re-run with the
+/// cluster's section profiling on, so the `profile` JSON section records
+/// lock acquisitions, context rebuilds and GC watermark probes per
+/// exchange next to the wall-clock split.
 fn run_profiled(scenario: &'static str, spec: &StoreSimSpec) -> Vec<String> {
+    let spec = spec.with_profile();
     let mut rows = Vec::new();
-    for (apply_mode, spec) in
-        [("batched", spec.with_profile()), ("per-key", spec.with_profile().with_unbatched_apply())]
-    {
-        let mut push = |report: StoreSimReport| {
-            let p = &report.profile;
-            let exchanges = report.wire.exchanges.max(1) as f64;
-            println!(
-                "  {:<18} {:<8} gc={:>7.4}s join={:>7.4}s relation={:>7.4}s codec={:>7.4}s lock={:>7.4}s  locks/exchange={:>5.1} ctx_rebuilds/exchange={:>5.1} gc_checks={}",
-                report.backend,
-                apply_mode,
-                p.gc.secs,
-                p.join.secs,
-                p.relation.secs,
-                p.codec.secs,
-                p.lock.secs,
-                p.lock.calls as f64 / exchanges,
-                p.ctx_rebuilds as f64 / exchanges,
-                p.gc_checks,
-            );
-            rows.push(format!(
-                "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"apply_mode\": \"{apply_mode}\", \"gc_secs\": {:.6}, \"gc_runs\": {}, \"join_secs\": {:.6}, \"relation_secs\": {:.6}, \"codec_secs\": {:.6}, \"lock_secs\": {:.6}, \"lock_acquisitions\": {}, \"ctx_rebuilds\": {}, \"gc_checks\": {}, \"batched_exchanges\": {}, \"exchanges\": {}}}",
-                scenario, report.backend, p.gc.secs, p.gc.calls, p.join.secs, p.relation.secs, p.codec.secs, p.lock.secs, p.lock.calls, p.ctx_rebuilds, p.gc_checks, p.batched_exchanges, report.wire.exchanges
-            ));
-        };
-        push(run_store_sim(VstampBackend::gc(), &spec));
-        push(run_store_sim(VstampBackend::eager(), &spec));
-        push(run_store_sim(DynamicVvBackend::new(), &spec));
-    }
+    let mut push = |report: StoreSimReport| {
+        let p = &report.profile;
+        let exchanges = report.wire.exchanges.max(1) as f64;
+        println!(
+            "  {:<18} gc={:>7.4}s join={:>7.4}s relation={:>7.4}s codec={:>7.4}s lock={:>7.4}s  locks/exchange={:>5.1} ctx_rebuilds/exchange={:>5.1} gc_checks={}",
+            report.backend,
+            p.gc.secs,
+            p.join.secs,
+            p.relation.secs,
+            p.codec.secs,
+            p.lock.secs,
+            p.lock.calls as f64 / exchanges,
+            p.ctx_rebuilds as f64 / exchanges,
+            p.gc_checks,
+        );
+        // `apply_mode` stays in the row so artifacts remain comparable
+        // with those that also carried the retired per-key rows.
+        rows.push(format!(
+            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"apply_mode\": \"batched\", \"gc_secs\": {:.6}, \"gc_runs\": {}, \"join_secs\": {:.6}, \"relation_secs\": {:.6}, \"codec_secs\": {:.6}, \"lock_secs\": {:.6}, \"lock_acquisitions\": {}, \"ctx_rebuilds\": {}, \"gc_checks\": {}, \"batched_exchanges\": {}, \"exchanges\": {}}}",
+            scenario, report.backend, p.gc.secs, p.gc.calls, p.join.secs, p.relation.secs, p.codec.secs, p.lock.secs, p.lock.calls, p.ctx_rebuilds, p.gc_checks, p.batched_exchanges, report.wire.exchanges
+        ));
+    };
+    push(run_store_sim(VstampBackend::gc(), &spec));
+    push(run_store_sim(VstampBackend::eager(), &spec));
+    push(run_store_sim(DynamicVvBackend::new(), &spec));
     rows
 }
 

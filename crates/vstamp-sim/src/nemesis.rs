@@ -335,6 +335,11 @@ fn pump(
         if read_fully(&mut from, &mut body, &shutdown, &blocked).is_err() {
             break;
         }
+        // A read that was already in flight when the partition started
+        // still completes; the frame it delivered must not cross the cut.
+        if shutdown.load(Ordering::SeqCst) || blocked.load(Ordering::SeqCst) {
+            break;
+        }
         if dice.chance(config.drop_per_mille) {
             continue;
         }

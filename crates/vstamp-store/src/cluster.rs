@@ -1,15 +1,16 @@
 //! The replicated store cluster: N replicas, each a sharded data plane,
 //! plus the cluster-shared clock plane (per-key coordination state of the
-//! backend), the synchronous anti-entropy exchange, the channel-driven
-//! gossip runner and quiescent-point compaction.
+//! backend), the anti-entropy engine ([`Cluster::pull`] and
+//! [`Cluster::serve`], shared by in-process exchanges and TCP nodes) and
+//! quiescent-point compaction.
 //!
 //! # Concurrency
 //!
 //! Every lock is per shard. An operation touching a key takes at most two
 //! locks, always in the same order — the clock-plane shard first, then one
-//! data-plane shard — so client traffic, concurrent exchanges and gossip
-//! workers never deadlock. Reads (`get`, digest building) take only a data
-//! shard read lock.
+//! data-plane shard — so client traffic and concurrent exchanges never
+//! deadlock. Reads (`get`, digest building) take only a data shard read
+//! lock.
 //!
 //! # Coordination caveat
 //!
@@ -21,9 +22,9 @@
 //! as the `FrontierGc` mirror does in `vstamp-core` (see its module docs).
 
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vstamp_core::Relation;
@@ -34,6 +35,7 @@ use crate::store::{
     fnv1a, fnv1a_extend, DataPlane, DeltaOrigin, GetResult, Key, KeyData, ShardIndexer,
     StoredVersion, Value, Version,
 };
+use crate::transport::{invalid, Link};
 use crate::wire::{
     decode_delta, decode_digest, decode_nak, decode_probe, encode_delta, encode_digest, encode_nak,
     encode_probe, envelope_len, rebuild_wire_version, DeltaEncodeStats, DeltaPolicy, DigestEntry,
@@ -48,66 +50,19 @@ struct KeyPlane<B: StoreBackend> {
     unclaimed: Vec<Option<B::Element>>,
 }
 
-/// Base wait for one gossip pull's reply; each retry attempt waits one
-/// multiple longer (200 ms, 400 ms, …) — backoff without a timer wheel.
-const GOSSIP_PULL_TIMEOUT: Duration = Duration::from_millis(200);
+/// Bound on NAK rounds within one [`Cluster::pull`]. A refetch ships full
+/// frames, which cannot miss, so a well-behaved responder needs one round;
+/// the bound only caps what a misbehaving peer can make a pull cost.
+const NAK_ROUNDS: usize = 3;
 
-/// How many times one gossip pull (re)sends its opening probe/digest
-/// before the round is abandoned.
-const GOSSIP_PULL_ATTEMPTS: usize = 3;
-
-/// Hard deadline for one pull exchange, retries included. A stalled
-/// responder costs at most this much wall-clock per round.
-const GOSSIP_EXCHANGE_TIMEOUT: Duration = Duration::from_millis(1500);
-
-/// Volume and coverage counters of one anti-entropy exchange.
-///
-/// Byte counts are end-to-end: payload plus the serialized envelope
-/// header ([`envelope_len`]), so the `wire` benchmark curves reflect what
-/// a real transport would carry, not just encoded bodies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExchangeStats {
-    /// Keys listed in the requester's digest.
-    pub digest_keys: usize,
-    /// Keys the responder shipped (fingerprint mismatch or missing).
-    pub keys_shipped: usize,
-    /// Bytes of the digest message, envelope included.
-    pub digest_bytes: usize,
-    /// Bytes of the delta direction, envelope included: the delta
-    /// response plus any NAK and full-frame refetch round.
-    pub delta_bytes: usize,
-    /// Versions shipped as delta frames (dot + context fingerprint).
-    pub delta_frames: usize,
-    /// Versions shipped as full clock frames (refetches included).
-    pub full_frames: usize,
-    /// Keys whose delta frames missed the receiver's context fingerprint
-    /// and were refetched as full frames.
-    pub nak_refetches: usize,
-    /// Bytes the delta frames saved versus full clock frames.
-    pub wire_bytes_saved: usize,
-    /// Total bytes of the clock frames shipped (full and delta) —
-    /// `frame_bytes / (delta_frames + full_frames)` is the mean clock
-    /// bytes per replicated version.
-    pub frame_bytes: usize,
-    /// The delta frames' share of `frame_bytes`.
-    pub delta_frame_bytes: usize,
-    /// Versions the responder did not ship because the requester's digest
-    /// proved it already held them.
-    pub versions_skipped: usize,
-    /// Whether this exchange opened with an O(1) digest-root probe.
-    pub root_probes: usize,
-    /// Whether that probe hit — the peers were already converged and the
-    /// whole digest/delta flow was skipped.
-    pub root_matches: usize,
-}
-
-/// Cumulative wire counters of a whole cluster: every synchronous
-/// exchange and every gossip message since construction (or the last
-/// snapshot diff the caller keeps). Counted once, at the sending side,
-/// envelope included.
+/// Cumulative wire counters of a whole cluster: every envelope the
+/// anti-entropy engine sent since construction (or the last snapshot diff
+/// the caller keeps). Counted once, by the side that sends the envelope,
+/// envelope header included ([`envelope_len`]), so the `wire` benchmark
+/// curves reflect what a transport carries, not just encoded bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
-    /// Pull exchanges initiated (digests sent).
+    /// Pull exchanges initiated ([`Cluster::pull`] calls).
     pub exchanges: usize,
     /// Digest bytes sent, envelopes included.
     pub digest_bytes: usize,
@@ -133,17 +88,14 @@ pub struct GossipStats {
     pub root_probes: usize,
     /// Probes that hit: converged peers that exchanged nothing further.
     pub root_matches: usize,
-    /// Delta exchanges applied through the per-shard batched path
-    /// ([`Cluster::apply_delta_batch`]). Always counted, profiling on or
-    /// off — the latency driver gates on it being nonzero.
+    /// Non-empty delta replies applied (one per reply, through the
+    /// per-shard batched path). Always counted, profiling on or off — the
+    /// latency driver gates on it being nonzero.
     pub batched_applies: usize,
-    /// Gossip pulls re-sent after a reply timed out (bounded retries with
-    /// a widening wait; see [`Cluster::run_gossip`]).
-    pub pull_retries: usize,
 }
 
-/// Atomic backing store of [`GossipStats`], shared by the synchronous
-/// exchange path and the gossip workers.
+/// Atomic backing store of [`GossipStats`], shared by every concurrent
+/// [`Cluster::pull`] and [`Cluster::serve`].
 #[derive(Debug, Default)]
 struct WireCounters {
     exchanges: AtomicUsize,
@@ -159,7 +111,6 @@ struct WireCounters {
     root_probes: AtomicUsize,
     root_matches: AtomicUsize,
     batched_applies: AtomicUsize,
-    pull_retries: AtomicUsize,
 }
 
 impl WireCounters {
@@ -178,7 +129,6 @@ impl WireCounters {
             root_probes: self.root_probes.load(Ordering::Relaxed),
             root_matches: self.root_matches.load(Ordering::Relaxed),
             batched_applies: self.batched_applies.load(Ordering::Relaxed),
-            pull_retries: self.pull_retries.load(Ordering::Relaxed),
         }
     }
 
@@ -250,12 +200,6 @@ pub struct ClusterConfig {
     /// delta frame misses and takes the NAK/refetch fallback — a
     /// correctness-stress knob, never on by default.
     pub perturb_fingerprints: bool,
-    /// Apply incoming delta exchanges through
-    /// [`Cluster::apply_delta_batch`]: one lock acquisition per shard and
-    /// one sibling-cache rebuild per key per exchange, instead of one of
-    /// each per key/version. Default on; off reproduces the per-key
-    /// reference path for A/B profiling.
-    pub batched_apply: bool,
     /// Read repair on [`Cluster::get`]: a read consults every replica,
     /// serves the merged sibling set, and pushes versions a lagging
     /// replica is missing back into it — monotonic reads across replica
@@ -279,7 +223,6 @@ impl ClusterConfig {
             shards,
             delta_frames: true,
             perturb_fingerprints: false,
-            batched_apply: true,
             read_repair: false,
         }
     }
@@ -296,15 +239,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_perturbed_fingerprints(mut self) -> Self {
         self.perturb_fingerprints = true;
-        self
-    }
-
-    /// Disables the per-shard batched delta application: exchanges take
-    /// the per-key reference path (one lock pair and one cache rebuild
-    /// per key/version) — the "before" side of the batching A/B.
-    #[must_use]
-    pub fn without_batched_apply(mut self) -> Self {
-        self.batched_apply = false;
         self
     }
 
@@ -333,9 +267,28 @@ pub struct Cluster<B: StoreBackend> {
     shards: ShardIndexer,
     profile: Arc<StoreProfile>,
     policy: DeltaPolicy,
-    batched_apply: bool,
     read_repair: bool,
     wire: WireCounters,
+}
+
+/// The in-process [`Link`]: a request is answered by [`Cluster::serve`] on
+/// another replica of the same cluster, with no transport in between.
+struct LocalLink<'a, B: StoreBackend> {
+    cluster: &'a Cluster<B>,
+    responder: usize,
+}
+
+impl<B: StoreBackend> Link for LocalLink<'_, B> {
+    fn request(&mut self, request: &Envelope) -> io::Result<Envelope> {
+        self.cluster
+            .serve(self.responder, self.responder, request)
+            .ok_or_else(|| invalid("request refused"))
+    }
+}
+
+/// Adds one sent envelope's wire size to `counter`.
+fn count_sent(counter: &AtomicUsize, envelope: &Envelope) {
+    counter.fetch_add(envelope_len(envelope.from, envelope.payload.len()), Ordering::Relaxed);
 }
 
 /// Infers which of the responder's sibling versions the requester already
@@ -386,7 +339,6 @@ impl<B: StoreBackend> Cluster<B> {
             shards,
             profile: Arc::new(StoreProfile::default()),
             policy: config.policy(),
-            batched_apply: config.batched_apply,
             read_repair: config.read_repair,
             wire: WireCounters::default(),
         }
@@ -554,26 +506,6 @@ impl<B: StoreBackend> Cluster<B> {
             for evicted in &outcome.evicted {
                 self.backend.release_clock(&mut entry.state, evicted.clock());
             }
-        }
-    }
-
-    /// The pre-snapshot reference read path: materializes the live values
-    /// and clones the context *while holding the shard read lock*. Kept so
-    /// the `store-read` criterion group can A/B the snapshot path against
-    /// it; serving code should use [`Cluster::get`].
-    #[must_use]
-    pub fn get_materialized(&self, replica: usize, key: &str) -> (Vec<Value>, Option<B::Clock>) {
-        let shard = self.replicas[replica].shard(self.shards.index(key)).read();
-        match shard.get(key).and_then(|data| data.siblings.snapshot()) {
-            Some(snapshot) => (
-                snapshot
-                    .versions()
-                    .iter()
-                    .filter_map(|version| version.version().value.clone())
-                    .collect(),
-                Some(snapshot.context().clone()),
-            ),
-            None => (Vec::new(), None),
         }
     }
 
@@ -745,12 +677,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// responder holds whose fingerprint differs (or which the requester
     /// lacks) is shipped — forked element plus the shared sibling set
     /// (`Arc` bumps, no value copies).
-    #[must_use]
-    pub fn respond_delta(
-        &self,
-        responder: usize,
-        digest: &[DigestEntry],
-    ) -> (Vec<KeyDelta<B>>, usize) {
+    fn respond_delta(&self, responder: usize, digest: &[DigestEntry]) -> (Vec<KeyDelta<B>>, usize) {
         let requested: HashMap<&str, u64> =
             digest.iter().map(|entry| (entry.key.as_str(), entry.fingerprint)).collect();
         let assumed: HashMap<&str, u64> =
@@ -830,8 +757,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// Builds the full-frames refetch for a NAK: the responder re-ships
     /// exactly the missed keys (`assumed_fp` of 0 is irrelevant — the
     /// refetch is encoded with [`DeltaPolicy::FULL_ONLY`]).
-    #[must_use]
-    pub fn respond_nak(&self, responder: usize, keys: &[Key]) -> Vec<KeyDelta<B>> {
+    fn respond_nak(&self, responder: usize, keys: &[Key]) -> Vec<KeyDelta<B>> {
         let mut deltas: Vec<KeyDelta<B>> = keys
             .iter()
             .filter_map(|key| {
@@ -842,45 +768,20 @@ impl<B: StoreBackend> Cluster<B> {
         deltas
     }
 
-    /// Applies a delta at the requester: element `join` (with the
+    /// Applies one delta reply at the requester: element `join` (with the
     /// backend's merge-time GC) plus sibling merges. Delta-frame versions
     /// whose context fingerprint matches the local sibling set are
     /// reconstructed as `context ⊔ dot`; the rest are **missed** — the
     /// returned keys need a NAK/full-frame refetch round.
-    pub fn apply_delta(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
-        let mut misses = Vec::new();
-        for delta in deltas {
-            let shard_index = self.shards.index(&delta.key);
-            let (mut plane, mut shard) = {
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-                (
-                    self.plane[shard_index].lock(),
-                    self.replicas[requester].shard(shard_index).write(),
-                )
-            };
-            if let Some(miss) =
-                self.apply_key_delta(requester, &mut plane, &mut shard, delta, false)
-            {
-                misses.push(miss);
-            }
-        }
-        misses
-    }
-
-    /// The batched form of [`Cluster::apply_delta`]: frames are grouped by
-    /// destination shard, the (clock-plane, data-shard) lock pair is taken
-    /// **once per shard** instead of once per key, and each key's sibling
-    /// cache upkeep runs once after all of the key's versions merged
-    /// instead of once per version — the `Arc`-swapped snapshot publishes
-    /// exactly once, and the k-way context rebuild runs **at most** once
-    /// (only when an eviction invalidated the incrementally-maintained
-    /// context — see `SiblingSet::finish_deferred`) — the amortized-GC
-    /// design of PR 4 extended across the whole exchange. Gossip workers
-    /// and the synchronous exchange route through this unless
-    /// [`ClusterConfig::without_batched_apply`] selected the reference
-    /// path.
-    pub fn apply_delta_batch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
+    ///
+    /// Frames are grouped by destination shard, the (clock-plane,
+    /// data-shard) lock pair is taken **once per shard** instead of once
+    /// per key, and each key's sibling cache upkeep runs once after all of
+    /// the key's versions merged instead of once per version — the
+    /// `Arc`-swapped snapshot publishes exactly once, and the k-way context
+    /// rebuild runs **at most** once (only when an eviction invalidated the
+    /// incrementally-maintained context — see `SiblingSet::finish_deferred`).
+    fn apply_delta_batch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         if deltas.is_empty() {
             return misses;
@@ -903,9 +804,7 @@ impl<B: StoreBackend> Cluster<B> {
             while let Some((_, delta)) =
                 grouped.next_if(|&(next_shard, _)| next_shard == shard_index)
             {
-                if let Some(miss) =
-                    self.apply_key_delta(requester, &mut plane, &mut shard, delta, true)
-                {
+                if let Some(miss) = self.apply_key_delta(requester, &mut plane, &mut shard, delta) {
                     misses.push(miss);
                 }
             }
@@ -913,30 +812,20 @@ impl<B: StoreBackend> Cluster<B> {
         misses
     }
 
-    /// Routes one exchange's deltas through the configured apply path.
-    fn apply_delta_dispatch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
-        if self.batched_apply {
-            self.apply_delta_batch(requester, deltas)
-        } else {
-            self.apply_delta(requester, deltas)
-        }
-    }
-
     /// Applies one key's wire delta under already-held shard locks: element
     /// absorb (one watermark-gated collapse check), then every version
     /// merge. Returns the key on a delta-frame fingerprint miss (it needs
-    /// a NAK/full-frame refetch). `batched` defers the sibling cache
-    /// upkeep to a single close after the last version (one snapshot
-    /// publish, a context rebuild only if an eviction forced one) — sound
-    /// because the reconstruction base is captured before the first merge
-    /// and the shard write lock is held across the whole key.
+    /// a NAK/full-frame refetch). The sibling cache upkeep is deferred to
+    /// a single close after the last version (one snapshot publish, a
+    /// context rebuild only if an eviction forced one) — sound because the
+    /// reconstruction base is captured before the first merge and the
+    /// shard write lock is held across the whole key.
     fn apply_key_delta(
         &self,
         requester: usize,
         plane: &mut HashMap<Key, KeyPlane<B>>,
         shard: &mut HashMap<Key, KeyData<B>>,
         delta: WireKeyDelta<B>,
-        batched: bool,
     ) -> Option<Key> {
         let WireKeyDelta { key, element, versions } = delta;
         // A key this cluster has never seen: a multi-process node learning
@@ -1006,11 +895,7 @@ impl<B: StoreBackend> Cluster<B> {
                 }
             };
             let clock = incoming.clock().clone();
-            let outcome = if batched {
-                data.siblings.merge_version_deferred(&self.backend, incoming)
-            } else {
-                data.siblings.merge_version(&self.backend, incoming, false)
-            };
+            let outcome = data.siblings.merge_version_deferred(&self.backend, incoming);
             if outcome.ctx_rebuilt {
                 self.profile.count(&self.profile.ctx_rebuilds);
             }
@@ -1022,312 +907,122 @@ impl<B: StoreBackend> Cluster<B> {
                 self.backend.release_clock(&mut entry.state, evicted.clock());
             }
         }
-        if batched && mutated && data.siblings.finish_deferred(&self.backend) {
+        if mutated && data.siblings.finish_deferred(&self.backend) {
             self.profile.count(&self.profile.ctx_rebuilds);
         }
         key_missed.then_some(key)
     }
 
-    /// One pull-based anti-entropy exchange: `requester` sends its digest,
-    /// `responder` answers with adaptively-framed deltas, `requester`
-    /// absorbs them, and any fingerprint misses are refetched as full
-    /// frames in an inline NAK round. All messages round-trip through the
-    /// wire codec, exactly as they do in gossip mode; byte counts include
-    /// the serialized envelope headers.
-    pub fn anti_entropy(&self, requester: usize, responder: usize) -> ExchangeStats {
-        // The adaptive wire opens with an 8-byte digest-root probe; a hit
-        // means the peers are already converged and the exchange is two
-        // tiny messages instead of a digest and a delta. The perturb knob
-        // forces misses so benches and tests exercise the fallback.
-        let mut probe_bytes = 0;
-        let mut probes = 0;
+    /// One in-process anti-entropy exchange: `requester` [pulls](Self::pull)
+    /// from `responder` over a link that answers with
+    /// [`serve`](Self::serve) on the responder — the exact message flow of
+    /// a TCP node, minus the socket. Envelopes carry the replica index as
+    /// their sender.
+    pub fn anti_entropy(&self, requester: usize, responder: usize) {
+        let mut link = LocalLink { cluster: self, responder };
+        self.pull(requester, requester, &mut link)
+            .expect("in-process exchanges carry only locally-encoded messages");
+    }
+
+    /// The requester half of the anti-entropy protocol: one pull of
+    /// `replica` from the peer behind `link`. Opens with an 8-byte
+    /// digest-root probe (a hit means the peers already converged and the
+    /// pull ends), then sends the full digest, applies the delta reply
+    /// through the batched path and refetches fingerprint misses as full
+    /// frames in at most three NAK rounds. `from` is the sender id
+    /// stamped on every envelope this side sends.
+    ///
+    /// Every merge is idempotent, so a duplicated, dropped or replayed
+    /// reply can fail one pull but never corrupt the store.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures from the link, and replies of the wrong kind or
+    /// that fail to decode ([`io::ErrorKind::InvalidData`]).
+    pub fn pull(&self, replica: usize, from: usize, link: &mut impl Link) -> io::Result<()> {
+        self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
         if self.policy.delta_frames {
-            let mut root = self.digest_root(requester);
+            // The perturb knob forces misses so benches and tests exercise
+            // the digest fallback.
+            let mut root = self.digest_root(replica);
             if self.policy.perturb_fingerprints {
                 root ^= PERTURB_MASK;
             }
-            let probe_payload = encode_probe(root);
-            let probed = decode_probe(&probe_payload).expect("locally-encoded probe decodes");
-            probe_bytes = envelope_len(requester, probe_payload.len()) + envelope_len(responder, 0);
-            probes = 1;
+            let probe = Envelope { from, kind: MessageKind::Probe, payload: encode_probe(root) };
             self.wire.root_probes.fetch_add(1, Ordering::Relaxed);
-            if probed == self.digest_root(responder) {
-                self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-                self.wire.digest_bytes.fetch_add(probe_bytes, Ordering::Relaxed);
-                self.wire.root_matches.fetch_add(1, Ordering::Relaxed);
-                return ExchangeStats {
-                    digest_bytes: probe_bytes,
-                    root_probes: 1,
-                    root_matches: 1,
-                    ..ExchangeStats::default()
-                };
+            count_sent(&self.wire.digest_bytes, &probe);
+            match link.request(&probe)?.kind {
+                MessageKind::Ack => return Ok(()),
+                MessageKind::Miss => {}
+                _ => return Err(invalid("probe reply was neither Ack nor Miss")),
             }
         }
-        let digest = self.build_digest(requester);
-        let enabled = self.profile.is_enabled();
-        let (digest_payload, decoded_digest) = {
-            let _timer = enabled.then(|| self.profile.time(&self.profile.codec));
-            let bytes = encode_digest(&digest);
-            let decoded = decode_digest(&bytes).expect("locally-encoded digest decodes");
-            (bytes, decoded)
-        };
-        let (deltas, versions_skipped) = self.respond_delta(responder, &decoded_digest);
-        let (delta_payload, encode_stats, decoded_deltas) = {
-            let _timer = enabled.then(|| self.profile.time(&self.profile.codec));
-            let (bytes, encode_stats) = encode_delta(&self.backend, &deltas, self.policy);
-            let decoded =
-                decode_delta(&self.backend, &bytes).expect("locally-encoded delta decodes");
-            (bytes, encode_stats, decoded)
-        };
-        let mut stats = ExchangeStats {
-            digest_keys: digest.len(),
-            keys_shipped: decoded_deltas.len(),
-            digest_bytes: probe_bytes + envelope_len(requester, digest_payload.len()),
-            delta_bytes: envelope_len(responder, delta_payload.len()),
-            delta_frames: encode_stats.delta_frames,
-            full_frames: encode_stats.full_frames,
-            nak_refetches: 0,
-            wire_bytes_saved: encode_stats.bytes_saved,
-            frame_bytes: encode_stats.frame_bytes,
-            delta_frame_bytes: encode_stats.delta_frame_bytes,
-            versions_skipped,
-            root_probes: probes,
-            root_matches: 0,
-        };
-        let misses = self.apply_delta_dispatch(requester, decoded_deltas);
-        if !misses.is_empty() {
-            // Fingerprint misses: NAK the keys and refetch them as full
-            // frames, which cannot miss — one bounded extra round.
-            let nak_payload = encode_nak(&misses);
-            let refetch = self.respond_nak(responder, &misses);
-            let (refetch_payload, refetch_stats) =
-                encode_delta(&self.backend, &refetch, DeltaPolicy::FULL_ONLY);
-            let decoded = decode_delta(&self.backend, &refetch_payload)
-                .expect("locally-encoded refetch decodes");
-            let leftover = self.apply_delta_dispatch(requester, decoded);
-            debug_assert!(leftover.is_empty(), "full frames cannot miss");
-            stats.nak_refetches = misses.len();
-            stats.delta_bytes += envelope_len(requester, nak_payload.len())
-                + envelope_len(responder, refetch_payload.len());
-            stats.full_frames += refetch_stats.full_frames;
-            stats.frame_bytes += refetch_stats.frame_bytes;
-        }
-        self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-        self.wire.digest_bytes.fetch_add(stats.digest_bytes, Ordering::Relaxed);
-        self.wire.delta_bytes.fetch_add(stats.delta_bytes, Ordering::Relaxed);
-        self.wire.delta_frames.fetch_add(stats.delta_frames, Ordering::Relaxed);
-        self.wire.full_frames.fetch_add(stats.full_frames, Ordering::Relaxed);
-        self.wire.nak_refetches.fetch_add(stats.nak_refetches, Ordering::Relaxed);
-        self.wire.wire_bytes_saved.fetch_add(stats.wire_bytes_saved, Ordering::Relaxed);
-        self.wire.frame_bytes.fetch_add(stats.frame_bytes, Ordering::Relaxed);
-        self.wire.delta_frame_bytes.fetch_add(stats.delta_frame_bytes, Ordering::Relaxed);
-        self.wire.versions_skipped.fetch_add(stats.versions_skipped, Ordering::Relaxed);
-        stats
-    }
-
-    /// Runs channel-driven gossip: one worker thread per replica, each
-    /// initiating `rounds` pull exchanges with round-robin peers and
-    /// serving incoming digests, all traffic flowing as encoded
-    /// [`Envelope`]s over `crossbeam` channels.
-    pub fn run_gossip(&self, rounds: usize) {
-        let n = self.replicas.len();
-        if n < 2 || rounds == 0 {
-            return;
-        }
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| crossbeam::channel::unbounded::<Envelope>()).unzip();
-        let finished = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for (index, receiver) in receivers.into_iter().enumerate() {
-                let senders = senders.clone();
-                let finished = &finished;
-                scope.spawn(move |_| {
-                    self.gossip_worker(index, rounds, &senders, receiver, finished, n);
-                });
+        let digest = self.build_digest(replica);
+        let payload = self.with_codec(|| encode_digest(&digest));
+        let digest = Envelope { from, kind: MessageKind::Digest, payload };
+        count_sent(&self.wire.digest_bytes, &digest);
+        let mut reply = link.request(&digest)?;
+        for round in 0..=NAK_ROUNDS {
+            if reply.kind != MessageKind::Delta {
+                return Err(invalid("reply was not a Delta"));
             }
-            // The parent scope's sender clones drop here; workers detect
-            // completion through the `finished` counter.
-            drop(senders);
-        })
-        .expect("gossip workers do not panic");
+            let deltas = self
+                .with_codec(|| decode_delta(&self.backend, &reply.payload))
+                .map_err(|_| invalid("delta did not decode"))?;
+            let misses = self.apply_delta_batch(replica, deltas);
+            if misses.is_empty() || round == NAK_ROUNDS {
+                break;
+            }
+            let nak = Envelope { from, kind: MessageKind::Nak, payload: encode_nak(&misses) };
+            self.wire.nak_refetches.fetch_add(misses.len(), Ordering::Relaxed);
+            count_sent(&self.wire.delta_bytes, &nak);
+            reply = link.request(&nak)?;
+        }
+        Ok(())
     }
 
-    fn gossip_worker(
-        &self,
-        index: usize,
-        rounds: usize,
-        senders: &[crossbeam::channel::Sender<Envelope>],
-        receiver: crossbeam::channel::Receiver<Envelope>,
-        finished: &AtomicUsize,
-        n: usize,
-    ) {
-        let serve = |envelope: Envelope| match envelope.kind {
+    /// The responder half of the anti-entropy protocol: answers one
+    /// request addressed to `replica` — Probe with Ack (digest roots
+    /// equal) or Miss, Digest with the adaptively-framed Delta, Nak with a
+    /// full-frame Delta of the missed keys. `from` is the sender id
+    /// stamped on the reply. Returns `None` for a payload that does not
+    /// decode and for every other message kind; peer input never panics.
+    pub fn serve(&self, replica: usize, from: usize, request: &Envelope) -> Option<Envelope> {
+        let (payload, stats) = match request.kind {
             MessageKind::Probe => {
-                let root = decode_probe(&envelope.payload).expect("peer probes decode");
-                let matched = root == self.digest_root(index);
-                let kind = if matched {
+                let root = decode_probe(&request.payload).ok()?;
+                let kind = if root == self.digest_root(replica) {
                     self.wire.root_matches.fetch_add(1, Ordering::Relaxed);
                     MessageKind::Ack
                 } else {
                     MessageKind::Miss
                 };
-                self.wire.digest_bytes.fetch_add(envelope_len(index, 0), Ordering::Relaxed);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind,
-                    payload: Vec::new(),
-                });
-            }
-            // A hit needs nothing further; a late miss (after this worker
-            // timed out of its wait) is answered with a fresh digest — the
-            // peer serves it like any other and the pull completes.
-            MessageKind::Ack => {}
-            MessageKind::Miss => {
-                let digest = encode_digest(&self.build_digest(index));
-                self.wire
-                    .digest_bytes
-                    .fetch_add(envelope_len(index, digest.len()), Ordering::Relaxed);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Digest,
-                    payload: digest,
-                });
+                let reply = Envelope { from, kind, payload: Vec::new() };
+                count_sent(&self.wire.digest_bytes, &reply);
+                return Some(reply);
             }
             MessageKind::Digest => {
-                let digest = decode_digest(&envelope.payload).expect("peer digests decode");
-                let (deltas, versions_skipped) = self.respond_delta(index, &digest);
-                let (payload, encode_stats) = encode_delta(&self.backend, &deltas, self.policy);
-                self.wire.record_delta_payload(envelope_len(index, payload.len()), encode_stats);
+                let digest = self.with_codec(|| decode_digest(&request.payload)).ok()?;
+                let (deltas, versions_skipped) = self.respond_delta(replica, &digest);
                 self.wire.versions_skipped.fetch_add(versions_skipped, Ordering::Relaxed);
-                // A send only fails when the peer already exited its drain
-                // loop; the forked element then stays pinned (conservative
-                // evidence, never unsound).
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Delta,
-                    payload,
-                });
-            }
-            MessageKind::Delta => {
-                let deltas =
-                    decode_delta(&self.backend, &envelope.payload).expect("peer deltas decode");
-                let misses = self.apply_delta_dispatch(index, deltas);
-                if !misses.is_empty() {
-                    let payload = encode_nak(&misses);
-                    self.wire
-                        .delta_bytes
-                        .fetch_add(envelope_len(index, payload.len()), Ordering::Relaxed);
-                    self.wire.nak_refetches.fetch_add(misses.len(), Ordering::Relaxed);
-                    let _ = senders[envelope.from].send(Envelope {
-                        from: index,
-                        kind: MessageKind::Nak,
-                        payload,
-                    });
-                }
+                self.with_codec(|| encode_delta(&self.backend, &deltas, self.policy))
             }
             MessageKind::Nak => {
-                let keys = decode_nak(&envelope.payload).expect("peer NAKs decode");
-                let refetch = self.respond_nak(index, &keys);
-                let (payload, encode_stats) =
-                    encode_delta(&self.backend, &refetch, DeltaPolicy::FULL_ONLY);
-                self.wire.record_delta_payload(envelope_len(index, payload.len()), encode_stats);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Delta,
-                    payload,
-                });
+                let keys = decode_nak(&request.payload).ok()?;
+                let refetch = self.respond_nak(replica, &keys);
+                self.with_codec(|| encode_delta(&self.backend, &refetch, DeltaPolicy::FULL_ONLY))
             }
-            // Node-serving kinds (join/get/put/status) belong to the TCP
-            // transport; they never ride the in-process mesh.
-            _ => {}
+            _ => return None,
         };
-        'rounds: for round in 0..rounds {
-            let peer = (index + 1 + round % (n - 1)) % n;
-            self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-            let opening = if self.policy.delta_frames {
-                let mut root = self.digest_root(index);
-                if self.policy.perturb_fingerprints {
-                    root ^= PERTURB_MASK;
-                }
-                self.wire.root_probes.fetch_add(1, Ordering::Relaxed);
-                Envelope { from: index, kind: MessageKind::Probe, payload: encode_probe(root) }
-            } else {
-                let digest = encode_digest(&self.build_digest(index));
-                Envelope { from: index, kind: MessageKind::Digest, payload: digest }
-            };
-            // Bounded pull: (re)send the opening up to GOSSIP_PULL_ATTEMPTS
-            // times with a widening per-attempt wait, all under one
-            // exchange-level deadline — a lost reply or a stalled responder
-            // costs this round, never the worker.
-            let deadline = Instant::now() + GOSSIP_EXCHANGE_TIMEOUT;
-            'attempts: for attempt in 0..GOSSIP_PULL_ATTEMPTS {
-                if attempt > 0 {
-                    self.wire.pull_retries.fetch_add(1, Ordering::Relaxed);
-                }
-                self.wire
-                    .digest_bytes
-                    .fetch_add(envelope_len(index, opening.payload.len()), Ordering::Relaxed);
-                if senders[peer].send(opening.clone()).is_err() {
-                    break 'rounds;
-                }
-                // Wait for this pull to finish — an Ack (converged, nothing
-                // to exchange) or our delta — serving whatever else arrives
-                // meanwhile. A Miss is ours to answer with the full digest.
-                let attempt_wait = GOSSIP_PULL_TIMEOUT * (attempt as u32 + 1);
-                let attempt_deadline = deadline.min(Instant::now() + attempt_wait);
-                loop {
-                    let wait = attempt_deadline.saturating_duration_since(Instant::now());
-                    match receiver.recv_timeout(wait) {
-                        Ok(envelope) => {
-                            let done =
-                                matches!(envelope.kind, MessageKind::Delta | MessageKind::Ack);
-                            if envelope.kind == MessageKind::Miss {
-                                let digest = encode_digest(&self.build_digest(index));
-                                self.wire.digest_bytes.fetch_add(
-                                    envelope_len(index, digest.len()),
-                                    Ordering::Relaxed,
-                                );
-                                let _ = senders[envelope.from].send(Envelope {
-                                    from: index,
-                                    kind: MessageKind::Digest,
-                                    payload: digest,
-                                });
-                            } else {
-                                serve(envelope);
-                            }
-                            if done {
-                                continue 'rounds;
-                            }
-                        }
-                        // Transport gone: the run is over, exit cleanly.
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'rounds,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                // Exchange deadline hit: abandon this pull
-                                // (the next round's probe restarts it).
-                                continue 'rounds;
-                            }
-                            continue 'attempts;
-                        }
-                    }
-                }
-            }
-        }
-        finished.fetch_add(1, Ordering::AcqRel);
-        // Keep serving peers until every worker is done and our queue has
-        // drained — or the transport is closed under us: a disconnected
-        // channel must terminate the worker cleanly, not park it.
-        loop {
-            match receiver.recv_timeout(Duration::from_millis(20)) {
-                Ok(envelope) => serve(envelope),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if finished.load(Ordering::Acquire) == n {
-                        return;
-                    }
-                }
-            }
-        }
+        let reply = Envelope { from, kind: MessageKind::Delta, payload };
+        self.wire.record_delta_payload(envelope_len(from, reply.payload.len()), stats);
+        Some(reply)
+    }
+
+    /// Runs `f` inside the profile's codec section.
+    fn with_codec<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.codec));
+        f()
     }
 
     /// Whether every replica holds the identical sibling set for every key
@@ -1551,11 +1246,6 @@ mod tests {
         assert_eq!(held.versions().len(), 1);
         let after = cluster.get(0, "k");
         assert_eq!(after.values(), vec![b"v2".to_vec()]);
-        // The reference (materializing) path agrees with the snapshot path.
-        let (values, context) = cluster.get_materialized(0, "k");
-        assert_eq!(values, after.values());
-        assert_eq!(context.as_ref(), after.context());
-        assert_eq!(cluster.get_materialized(0, "missing"), (Vec::new(), None));
         // Absent keys stay snapshot-free; tombstoned keys keep a context.
         assert!(cluster.get(0, "missing").snapshot().is_none());
         cluster.delete(0, "k", after.context());
@@ -1595,10 +1285,28 @@ mod tests {
         let cluster = Cluster::new(VstampBackend::gc(), 2, 2);
         cluster.put(0, "a", b"1".to_vec(), None);
         full_sweep(&cluster);
-        // Everything in sync: a further exchange ships nothing.
-        let stats = cluster.anti_entropy(1, 0);
-        assert_eq!(stats.keys_shipped, 0);
-        assert!(stats.digest_bytes > 0);
+        // Everything in sync: a further exchange is one probe hit and
+        // ships nothing.
+        let before = cluster.gossip_stats();
+        cluster.anti_entropy(1, 0);
+        let after = cluster.gossip_stats();
+        assert_eq!(after.root_matches - before.root_matches, 1);
+        assert!(after.digest_bytes > before.digest_bytes);
+        assert_eq!(after.delta_bytes, before.delta_bytes);
+        // Without the probe the digest round runs, and still ships no
+        // version.
+        let full = Cluster::with_config(
+            VstampBackend::gc(),
+            ClusterConfig::new(2, 2).without_delta_frames(),
+        );
+        full.put(0, "a", b"1".to_vec(), None);
+        full_sweep(&full);
+        let before = full.gossip_stats();
+        full.anti_entropy(1, 0);
+        let after = full.gossip_stats();
+        assert_eq!(after.root_probes, before.root_probes);
+        assert_eq!(after.full_frames, before.full_frames);
+        assert_eq!(after.delta_frames, before.delta_frames);
     }
 
     #[test]
@@ -1692,11 +1400,22 @@ mod tests {
 
     #[test]
     fn gossip_mode_converges_like_direct_exchanges() {
+        // One gossip thread per replica, each pulling from round-robin
+        // peers while the others pull from it.
         let cluster = Cluster::new(VstampBackend::gc(), 4, 4);
         for i in 0..20 {
             cluster.put(i % 4, &format!("key-{i}"), vec![i as u8], None);
         }
-        cluster.run_gossip(6);
+        std::thread::scope(|scope| {
+            for replica in 0..4 {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    for round in 0..6 {
+                        cluster.anti_entropy(replica, (replica + 1 + round % 3) % 4);
+                    }
+                });
+            }
+        });
         full_sweep(&cluster);
         assert!(cluster.converged());
         for i in 0..20 {
@@ -1804,31 +1523,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_per_key_apply_converge_identically() {
-        // Same write pattern through both apply paths: the batched path
-        // must land every replica on the exact per-key reference state.
-        let run = |config: ClusterConfig| {
-            let cluster = Cluster::with_config(VstampBackend::gc(), config);
-            for round in 0u8..6 {
-                for replica in 0..3 {
-                    let key = format!("k{}", (round as usize + replica) % 5);
-                    let read = cluster.get(replica, &key);
-                    cluster.put(replica, &key, vec![round, replica as u8], read.context());
-                }
-                cluster.anti_entropy(round as usize % 3, (round as usize + 1) % 3);
-            }
-            full_sweep(&cluster);
-            assert!(cluster.converged());
-            (cluster.sibling_snapshot(0), cluster.gossip_stats())
-        };
-        let (batched, batched_stats) = run(ClusterConfig::new(3, 4));
-        let (reference, reference_stats) = run(ClusterConfig::new(3, 4).without_batched_apply());
-        assert_eq!(batched, reference, "batched apply must not change the merged state");
-        assert!(batched_stats.batched_applies > 0, "default config routes through the batch path");
-        assert_eq!(reference_stats.batched_applies, 0, "reference path must not batch");
-    }
-
-    #[test]
     fn apply_delta_batch_counts_one_lock_section_per_shard() {
         let mut cluster = Cluster::with_config(VstampBackend::gc(), ClusterConfig::new(2, 4));
         for key in ["a", "b", "c", "d", "e", "f"] {
@@ -1851,6 +1545,78 @@ mod tests {
         assert!(after.ctx_rebuilds - before.ctx_rebuilds <= deltas.len() as u64);
         assert_eq!(after.batched_exchanges - before.batched_exchanges, 1);
         assert_eq!(cluster.get(1, "a").values(), vec![b"a".to_vec()]);
+    }
+
+    /// A two-replica cluster with diverged data on both sides.
+    fn diverged_pair() -> Cluster<VstampBackend> {
+        let cluster = Cluster::new(VstampBackend::gc(), 2, 4);
+        for i in 0..8u8 {
+            cluster.put(usize::from(i % 2), &format!("k{i}"), vec![i], None);
+        }
+        cluster
+    }
+
+    fn is_request(kind: MessageKind) -> bool {
+        matches!(kind, MessageKind::Probe | MessageKind::Digest | MessageKind::Nak)
+    }
+
+    #[test]
+    fn serve_refuses_truncated_and_unexpected_messages() {
+        let cluster = diverged_pair();
+        let valid = [
+            (MessageKind::Probe, encode_probe(cluster.digest_root(1))),
+            (MessageKind::Digest, encode_digest(&cluster.build_digest(1))),
+            (MessageKind::Nak, encode_nak(&["k0".to_owned(), "k2".to_owned()])),
+        ];
+        let serve = |kind, payload: &[u8]| {
+            cluster.serve(0, 0, &Envelope { from: 1, kind, payload: payload.to_vec() })
+        };
+        for (kind, payload) in &valid {
+            assert!(serve(*kind, payload).is_some(), "{kind:?}: a valid request is answered");
+            for cut in 0..payload.len() {
+                assert_eq!(serve(*kind, &payload[..cut]), None, "{kind:?} cut to {cut} bytes");
+            }
+        }
+        // Replies, node-serving kinds and anything else that is not a
+        // protocol request are refused whatever they carry.
+        for kind in (0..=u8::MAX).filter_map(MessageKind::from_tag) {
+            if is_request(kind) {
+                continue;
+            }
+            for (_, payload) in &valid {
+                assert_eq!(serve(kind, payload), None, "{kind:?} must be refused");
+            }
+            assert_eq!(serve(kind, &[]), None, "{kind:?} must be refused");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random payloads never panic the responder: a probe is answered
+        /// only when it is exactly 8 bytes, a digest or NAK only with a
+        /// Delta that decodes, and every other kind is refused.
+        #[test]
+        fn serve_never_panics_on_random_payloads(
+            tag in 0u8..16,
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let cluster = diverged_pair();
+            let Some(kind) = MessageKind::from_tag(tag) else { return Ok(()) };
+            let reply = cluster.serve(0, 0, &Envelope { from: 1, kind, payload: payload.clone() });
+            match (kind, reply) {
+                (MessageKind::Probe, reply) => {
+                    proptest::prop_assert_eq!(reply.is_some(), payload.len() == 8);
+                }
+                (MessageKind::Digest | MessageKind::Nak, Some(reply)) => {
+                    proptest::prop_assert_eq!(reply.kind, MessageKind::Delta);
+                    proptest::prop_assert!(decode_delta(cluster.backend(), &reply.payload).is_ok());
+                }
+                (kind, reply) => {
+                    proptest::prop_assert!(is_request(kind) || reply.is_none());
+                }
+            }
+        }
     }
 
     #[test]

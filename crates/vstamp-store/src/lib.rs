@@ -23,10 +23,12 @@
 //! Replication traffic flows through the codec seam of
 //! [`vstamp_core::codec`]: digests and missing-key deltas are
 //! length-prefixed frames, clocks and elements ride the byte-aligned
-//! varint codec (decoding straight into packed tag arrays), and the same
-//! encoded messages serve both the synchronous
-//! [`Cluster::anti_entropy`] exchange and the `crossbeam`-channel gossip
-//! workers of [`Cluster::run_gossip`].
+//! varint codec (decoding straight into packed tag arrays). One engine
+//! speaks the protocol: [`Cluster::pull`] is the requester half and
+//! [`Cluster::serve`] the responder half, joined by a [`Link`]. The
+//! in-process [`Cluster::anti_entropy`] pulls over a link that calls
+//! `serve` on another replica; a TCP [`Node`] pulls over a [`PeerLink`]
+//! and answers its peers with the same `serve`.
 //!
 //! The `vstamp-sim` crate drives clusters of both backends through
 //! partition/heal and churn workloads against a causal oracle (lost
@@ -68,15 +70,13 @@ pub mod transport;
 pub mod wire;
 
 pub use backend::{DvvClock, DynamicVvBackend, GcWatermarks, StoreBackend, VstampBackend};
-pub use cluster::{
-    Cluster, ClusterConfig, CompactionStats, ExchangeStats, GossipStats, StoreMetrics,
-};
+pub use cluster::{Cluster, ClusterConfig, CompactionStats, GossipStats, StoreMetrics};
 pub use failure::{PhiAccrual, PhiConfig};
 pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
 pub use node::{Node, NodeClient, NodeConfig, NodeStatus};
 pub use profile::{ProfileSnapshot, SectionSnapshot, StoreProfile};
 pub use store::{DeltaOrigin, GetResult, Key, KeySnapshot, StoredVersion, Value, Version};
-pub use transport::{recv_envelope, send_envelope, Backoff, PeerLink, TransportConfig};
+pub use transport::{recv_envelope, send_envelope, Backoff, Link, PeerLink, TransportConfig};
 pub use wire::{
     decode_envelope, encode_envelope, envelope_len, DeltaEncodeStats, DeltaPolicy, DigestEntry,
     Envelope, KeyDelta, MessageKind, WireKeyDelta, WireVersion,

@@ -1,13 +1,14 @@
 //! A real serving process: one OS process, one TCP listener, one
 //! single-replica store, gossiping with peers over loopback TCP.
 //!
-//! This module promotes the in-process gossip mesh of
-//! [`Cluster::run_gossip`](crate::Cluster::run_gossip) to actual sockets.
 //! Each [`Node`] owns a `Cluster<VstampBackend>` with exactly one replica
-//! and drives the same Probe → Digest → Delta → NAK anti-entropy protocol
-//! — the identical [`MessageKind`] frames, now length-prefixed onto TCP by
-//! the [`transport`](crate::transport) module — against peers discovered
-//! through the replicated member table.
+//! and runs the cluster's one anti-entropy engine over sockets: its gossip
+//! loop calls [`Cluster::pull`] over a [`PeerLink`] to a peer discovered
+//! through the replicated member table, and its server hands Probe,
+//! Digest and Nak requests to [`Cluster::serve`] — the same Probe → Digest
+//! → Delta → NAK flow as an in-process exchange, with the [`MessageKind`]
+//! frames length-prefixed onto TCP by the [`transport`](crate::transport)
+//! module. Envelopes carry the node's port as their sender.
 //!
 //! ## Identity discipline
 //!
@@ -70,11 +71,8 @@ use crate::cluster::Cluster;
 use crate::failure::{PhiAccrual, PhiConfig};
 use crate::membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
 use crate::store::Value;
-use crate::transport::{recv_envelope, send_envelope, PeerLink, TransportConfig};
-use crate::wire::{
-    decode_delta, decode_digest, decode_nak, decode_probe, encode_delta, encode_digest, encode_nak,
-    encode_probe, DeltaPolicy, Envelope, MessageKind,
-};
+use crate::transport::{invalid, recv_envelope, send_envelope, Link, PeerLink, TransportConfig};
+use crate::wire::{Envelope, MessageKind};
 
 /// Tuning of one [`Node`].
 #[derive(Debug, Clone)]
@@ -95,8 +93,6 @@ pub struct NodeConfig {
     pub phi: PhiConfig,
     /// How long a peer must *stay* suspected before it is evicted.
     pub eviction_grace: Duration,
-    /// Bound on NAK re-request rounds within one gossip exchange.
-    pub nak_retries: usize,
     /// Seed for peer selection and reconnect jitter.
     pub seed: u64,
 }
@@ -111,7 +107,6 @@ impl Default for NodeConfig {
             transport: TransportConfig::default(),
             phi: PhiConfig::default(),
             eviction_grace: Duration::from_millis(1500),
-            nak_retries: 3,
             seed: 0,
         }
     }
@@ -223,10 +218,6 @@ impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node").field("addr", &self.inner.addr).finish_non_exhaustive()
     }
-}
-
-fn invalid(context: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, context)
 }
 
 fn port_of(addr: &str) -> u16 {
@@ -576,16 +567,18 @@ impl NodeInner {
         let mut links: HashMap<String, PeerLink> = HashMap::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             thread::sleep(self.config.gossip_interval);
-            self.sync_membership();
             let peers = self.state.lock().table.live_peers(&self.addr);
             if let Some(peer) = pick(&peers, &mut rng) {
                 let link = links.entry(peer.clone()).or_insert_with(|| {
                     PeerLink::new(peer.clone(), self.config.transport, splitmix(&mut rng))
                 });
-                if self.exchange(link).is_ok() {
+                if self.cluster.pull(0, self.port as usize, link).is_ok() {
                     self.feed_heartbeat(&peer);
                 }
             }
+            // Right after the pull, so a member table it delivered reaches
+            // the in-memory view (and the status) at once, not a round late.
+            self.sync_membership();
             links.retain(|addr, _| {
                 self.state
                     .lock()
@@ -595,51 +588,6 @@ impl NodeInner {
             });
             self.sweep_failures();
         }
-    }
-
-    /// One pull exchange: Probe → (Ack | Miss → Digest → Delta → apply →
-    /// bounded NAK rounds). Any decode mismatch fails the exchange (the
-    /// link reconnects with backoff); every merge is idempotent, so a
-    /// duplicated or replayed frame can confuse one exchange but never
-    /// the store.
-    fn exchange(&self, link: &mut PeerLink) -> io::Result<()> {
-        let from = self.port as usize;
-        let probe = Envelope {
-            kind: MessageKind::Probe,
-            from,
-            payload: encode_probe(self.cluster.digest_root(0)),
-        };
-        let reply = link.request(&probe)?;
-        match reply.kind {
-            MessageKind::Ack => return Ok(()),
-            MessageKind::Miss => {}
-            _ => return Err(invalid("probe reply was neither Ack nor Miss")),
-        }
-        let digest = Envelope {
-            kind: MessageKind::Digest,
-            from,
-            payload: encode_digest(&self.cluster.build_digest(0)),
-        };
-        let reply = link.request(&digest)?;
-        if reply.kind != MessageKind::Delta {
-            return Err(invalid("digest reply was not a Delta"));
-        }
-        let deltas = decode_delta(self.cluster.backend(), &reply.payload)
-            .map_err(|_| invalid("delta frame did not decode"))?;
-        let mut misses = self.cluster.apply_delta(0, deltas);
-        let mut attempt = 0;
-        while !misses.is_empty() && attempt < self.config.nak_retries {
-            attempt += 1;
-            let nak = Envelope { kind: MessageKind::Nak, from, payload: encode_nak(&misses) };
-            let reply = link.request(&nak)?;
-            if reply.kind != MessageKind::Delta {
-                return Err(invalid("NAK reply was not a Delta"));
-            }
-            let deltas = decode_delta(self.cluster.backend(), &reply.payload)
-                .map_err(|_| invalid("NAK delta frame did not decode"))?;
-            misses = self.cluster.apply_delta(0, deltas);
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -695,27 +643,8 @@ impl NodeInner {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
-            MessageKind::Probe => {
-                let theirs = decode_probe(&request.payload).ok()?;
-                if theirs == self.cluster.digest_root(0) {
-                    Some(reply(MessageKind::Ack, Vec::new()))
-                } else {
-                    Some(reply(MessageKind::Miss, Vec::new()))
-                }
-            }
-            MessageKind::Digest => {
-                let entries = decode_digest(&request.payload).ok()?;
-                let (deltas, _skipped) = self.cluster.respond_delta(0, &entries);
-                let (payload, _stats) =
-                    encode_delta(self.cluster.backend(), &deltas, DeltaPolicy::ADAPTIVE);
-                Some(reply(MessageKind::Delta, payload))
-            }
-            MessageKind::Nak => {
-                let keys = decode_nak(&request.payload).ok()?;
-                let deltas = self.cluster.respond_nak(0, &keys);
-                let (payload, _stats) =
-                    encode_delta(self.cluster.backend(), &deltas, DeltaPolicy::FULL_ONLY);
-                Some(reply(MessageKind::Delta, payload))
+            MessageKind::Probe | MessageKind::Digest | MessageKind::Nak => {
+                self.cluster.serve(0, from, &request)
             }
             MessageKind::Join => {
                 let mut input = request.payload.as_slice();
@@ -950,7 +879,40 @@ mod tests {
         }
         let status = joined_client.status().expect("status");
         assert_eq!(status.active_members, 2);
+        // Both halves of the TCP exchange run the cluster's engine: the
+        // joiner's pulls count and apply through the batched path, and it
+        // answers the bootstrap's probes with Acks once their digest roots
+        // agree, which the rounds after convergence provide.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stats = joiner.cluster().gossip_stats();
+            if stats.exchanges > 0
+                && stats.root_probes > 0
+                && stats.root_matches > 0
+                && stats.batched_applies > 0
+            {
+                break;
+            }
+            assert!(Instant::now() < deadline, "joiner counters stayed at zero: {stats:?}");
+            thread::sleep(Duration::from_millis(20));
+        }
         joiner.shutdown();
         bootstrap.shutdown();
+    }
+
+    #[test]
+    fn malformed_exchange_requests_close_the_connection() {
+        let node = Node::bootstrap(quick_config(3)).expect("bootstrap");
+        for kind in [MessageKind::Probe, MessageKind::Digest, MessageKind::Nak, MessageKind::Ack] {
+            let mut stream = TcpStream::connect(node.local_addr()).expect("dial");
+            stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+            let request = Envelope { kind, from: 0, payload: vec![0xFF; 3] };
+            send_envelope(&mut stream, &request).expect("send");
+            assert!(recv_envelope(&mut stream).is_err(), "{kind:?}: the node must hang up");
+        }
+        // The node still serves well-formed traffic afterwards.
+        let mut client = NodeClient::connect(node.addr(), TransportConfig::default(), 9);
+        client.put("k", b"v".to_vec(), None).expect("put");
+        node.shutdown();
     }
 }

@@ -38,7 +38,7 @@ impl SectionCounter {
 }
 
 /// The profiling sink of one cluster. All counters are atomics so probe
-/// sites work from `&self` on every store path, including gossip workers.
+/// sites work from `&self` on every store path, including concurrent exchanges.
 #[derive(Debug, Default)]
 pub struct StoreProfile {
     enabled: AtomicBool,
@@ -142,10 +142,10 @@ pub struct ProfileSnapshot {
     /// GC watermark checks (`collapse_due` probes on absorb and the
     /// write-path bits check).
     pub gc_checks: u64,
-    /// Delta exchanges applied through [`Cluster::apply_delta_batch`]
-    /// (one increment per batched exchange, regardless of key count).
+    /// Non-empty delta replies applied by [`Cluster::pull`] (one increment
+    /// per reply, regardless of key count).
     ///
-    /// [`Cluster::apply_delta_batch`]: crate::Cluster::apply_delta_batch
+    /// [`Cluster::pull`]: crate::Cluster::pull
     pub batched_exchanges: u64,
 }
 

@@ -6,8 +6,10 @@
 //! has always modeled, so every bytes-on-wire figure the store reports is
 //! now literally what crosses the socket (plus the 4-byte length prefix).
 //!
-//! [`PeerLink`] wraps one outbound connection in the failure discipline a
-//! real cluster needs: connect and I/O timeouts on every operation, and
+//! [`Link`] is the one thing the anti-entropy engine
+//! ([`Cluster::pull`](crate::Cluster::pull)) asks of a transport: send a
+//! request, get the reply. [`PeerLink`] implements it over TCP, wrapping
+//! one outbound connection in the failure discipline a real cluster needs: connect and I/O timeouts on every operation, and
 //! capped exponential backoff with deterministic jitter between reconnect
 //! attempts, so a dead peer costs a bounded, decaying amount of effort
 //! instead of a blocked thread.
@@ -123,6 +125,22 @@ impl Backoff {
     }
 }
 
+/// A request/response channel to one peer. The cluster's wire protocol is
+/// strictly pull-based, so one in-flight request per link is all it needs.
+pub trait Link {
+    /// Sends `request` and returns the peer's reply.
+    ///
+    /// # Errors
+    ///
+    /// Any transport failure, or a peer that could not answer.
+    fn request(&mut self, request: &Envelope) -> io::Result<Envelope>;
+}
+
+/// An [`io::ErrorKind::InvalidData`] error for a protocol violation.
+pub(crate) fn invalid(context: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, context)
+}
+
 /// One splitmix64 step — the workspace's standard cheap deterministic
 /// generator.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -133,10 +151,8 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// An outbound connection to one peer: lazy connect with a deadline,
+/// An outbound TCP [`Link`] to one peer: lazy connect with a deadline,
 /// per-operation I/O timeouts, and capped-exponential-backoff reconnects.
-/// Request/response oriented — the cluster's whole wire protocol is
-/// strictly pull-based, so one in-flight request per link is all it needs.
 #[derive(Debug)]
 pub struct PeerLink {
     addr: String,
@@ -169,31 +185,6 @@ impl PeerLink {
     #[must_use]
     pub fn is_connected(&self) -> bool {
         self.stream.is_some()
-    }
-
-    /// Sends `request` and reads one reply, connecting first if needed.
-    /// Any failure drops the connection and schedules the next dial behind
-    /// the backoff; until that delay expires, further calls fail fast with
-    /// [`io::ErrorKind::WouldBlock`] instead of hammering the dead peer.
-    ///
-    /// # Errors
-    ///
-    /// Connect, send, or receive failure (timeouts included), or
-    /// `WouldBlock` while inside the reconnect backoff window.
-    pub fn request(&mut self, request: &Envelope) -> io::Result<Envelope> {
-        self.ensure_connected()?;
-        let stream = self.stream.as_mut().expect("connected above");
-        let outcome = send_envelope(stream, request).and_then(|()| recv_envelope(stream));
-        match outcome {
-            Ok(reply) => {
-                self.backoff.reset();
-                Ok(reply)
-            }
-            Err(e) => {
-                self.fail();
-                Err(e)
-            }
-        }
     }
 
     fn ensure_connected(&mut self) -> io::Result<()> {
@@ -238,6 +229,33 @@ impl PeerLink {
     fn fail(&mut self) {
         self.stream = None;
         self.retry_at = Some(Instant::now() + self.backoff.next_delay());
+    }
+}
+
+impl Link for PeerLink {
+    /// Sends `request` and reads one reply, connecting first if needed.
+    /// Any failure drops the connection and schedules the next dial behind
+    /// the backoff; until that delay expires, further calls fail fast with
+    /// [`io::ErrorKind::WouldBlock`] instead of hammering the dead peer.
+    ///
+    /// # Errors
+    ///
+    /// Connect, send, or receive failure (timeouts included), or
+    /// `WouldBlock` while inside the reconnect backoff window.
+    fn request(&mut self, request: &Envelope) -> io::Result<Envelope> {
+        self.ensure_connected()?;
+        let stream = self.stream.as_mut().expect("connected above");
+        let outcome = send_envelope(stream, request).and_then(|()| recv_envelope(stream));
+        match outcome {
+            Ok(reply) => {
+                self.backoff.reset();
+                Ok(reply)
+            }
+            Err(e) => {
+                self.fail();
+                Err(e)
+            }
+        }
     }
 }
 

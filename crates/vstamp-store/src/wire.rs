@@ -25,8 +25,8 @@
 //!    correctness never depends on the fingerprint, only the fast path.
 //!
 //! All message payloads are self-contained byte buffers, so the same
-//! encoding serves the synchronous exchange API and the channel-driven
-//! gossip workers. Byte accounting is envelope-inclusive via
+//! encoding serves in-process exchanges and TCP nodes alike. Byte
+//! accounting is envelope-inclusive via
 //! [`envelope_len`] — the honest end-to-end cost of a message, not just
 //! its payload.
 //!
@@ -244,10 +244,11 @@ impl MessageKind {
     }
 }
 
-/// A routed gossip message: sender index, kind, and the encoded payload.
+/// A routed protocol message: sender id, kind, and the encoded payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// Index of the sending replica.
+    /// The sender: a replica index in-process, the sender's port on TCP
+    /// (clients send 0).
     pub from: usize,
     /// What the payload encodes.
     pub kind: MessageKind,
@@ -256,8 +257,8 @@ pub struct Envelope {
 }
 
 /// End-to-end wire size of one message: kind byte, varint sender index,
-/// varint-framed payload. The in-process channels ship [`Envelope`]
-/// structs directly, but every byte count the store reports uses this
+/// varint-framed payload. In-process exchanges hand [`Envelope`] structs
+/// over directly, but every byte count the store reports uses this
 /// serialized form so the `wire` curves are honest about header overhead.
 #[must_use]
 pub fn envelope_len(from: usize, payload_len: usize) -> usize {
