@@ -10,7 +10,9 @@
 //! locks, always in the same order — the clock-plane shard first, then one
 //! data-plane shard — so client traffic and concurrent exchanges never
 //! deadlock. Reads (`get`, digest building) take only a data shard read
-//! lock.
+//! lock. The digest root ([`Cluster::digest_root`]) takes no lock at all:
+//! it hashes the data plane's 256 bucket sums, which every mutation keeps
+//! current with one atomic add.
 //!
 //! # Coordination caveat
 //!
@@ -32,14 +34,15 @@ use vstamp_core::Relation;
 use crate::backend::StoreBackend;
 use crate::profile::{ProfileSnapshot, StoreProfile};
 use crate::store::{
-    fnv1a, fnv1a_extend, DataPlane, DeltaOrigin, GetResult, Key, KeyData, ShardIndexer,
-    StoredVersion, Value, Version,
+    DataPlane, DeltaOrigin, GetResult, Key, KeyData, ShardIndexer, ShardWrite, StoredVersion,
+    Value, Version,
 };
 use crate::transport::{invalid, Link};
 use crate::wire::{
-    decode_delta, decode_digest, decode_nak, decode_probe, encode_delta, encode_digest, encode_nak,
-    encode_probe, envelope_len, rebuild_wire_version, DeltaEncodeStats, DeltaPolicy, DigestEntry,
-    Envelope, KeyDelta, MessageKind, WireKeyDelta, WireVersion, PERTURB_MASK,
+    decode_delta, decode_digest_scoped, decode_miss, decode_nak, decode_probe, encode_delta,
+    encode_digest_scoped, encode_miss, encode_nak, encode_probe, envelope_len,
+    rebuild_wire_version, BucketMask, DeltaEncodeStats, DeltaPolicy, DigestEntry, Envelope,
+    KeyDelta, MessageKind, WireKeyDelta, WireVersion, MAX_BUCKET_LEVEL, PERTURB_MASK,
 };
 
 /// Per-key entry of the clock plane: the backend's coordination state plus
@@ -319,6 +322,26 @@ fn known_subset(hashes: &[u64], ctx_fp: u64) -> u32 {
     best
 }
 
+/// Keys a responder must hold before its `Miss` carries bucket sums;
+/// smaller replicas answer with an empty `Miss` and get the full digest.
+const SCOPE_MIN_KEYS: usize = 128;
+
+/// The bucket level a responder holding `keys` keys scopes an exchange
+/// to: none below [`SCOPE_MIN_KEYS`], else about 64 keys per bucket, at
+/// most the [`MAX_BUCKET_LEVEL`] resolution the data plane maintains.
+fn scope_level(keys: usize) -> u8 {
+    if keys < SCOPE_MIN_KEYS {
+        0
+    } else {
+        (keys / 64).ilog2().min(u32::from(MAX_BUCKET_LEVEL)) as u8
+    }
+}
+
+/// Whether a key falls in a digest scope (`None` is the whole digest).
+fn in_scope<B: StoreBackend>(scope: Option<&BucketMask>, data: &KeyData<B>) -> bool {
+    scope.map_or(true, |mask| mask.contains(data.bucket(mask.level())))
+}
+
 impl<B: StoreBackend> Cluster<B> {
     /// Builds a cluster of `replicas` nodes, each with `shard_count`
     /// hash-partitioned shards.
@@ -400,7 +423,7 @@ impl<B: StoreBackend> Cluster<B> {
         if self.read_repair {
             return self.get_repaired(replica, key);
         }
-        let shard = self.replicas[replica].shard(self.shards.index(key)).read();
+        let shard = self.replicas[replica].read(self.shards.index(key));
         GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
     }
 
@@ -415,7 +438,7 @@ impl<B: StoreBackend> Cluster<B> {
         let shard_index = self.shards.index(key);
         let snapshots: Vec<_> = (0..self.replicas.len())
             .map(|r| {
-                let shard = self.replicas[r].shard(shard_index).read();
+                let shard = self.replicas[r].read(shard_index);
                 shard.get(key).and_then(|data| data.siblings.snapshot())
             })
             .collect();
@@ -471,7 +494,7 @@ impl<B: StoreBackend> Cluster<B> {
                 self.repair_replica(r, shard_index, key, missing);
             }
         }
-        let shard = self.replicas[replica].shard(shard_index).read();
+        let shard = self.replicas[replica].read(shard_index);
         GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
     }
 
@@ -488,15 +511,15 @@ impl<B: StoreBackend> Cluster<B> {
     ) {
         let (mut plane, mut shard) = {
             let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
+            (self.plane[shard_index].lock(), self.replicas[replica].write(shard_index))
         };
         let Some(entry) = plane.get_mut(key) else { return };
         if !shard.contains_key(key) {
             let claimed =
                 entry.unclaimed[replica].take().expect("initial element claimed exactly once");
-            shard.insert(key.to_owned(), KeyData::new(&self.backend, claimed));
+            shard.insert(key.to_owned(), KeyData::new(&self.backend, key, claimed));
         }
-        let data = shard.get_mut(key).expect("inserted above");
+        let mut data = shard.get_mut(key).expect("inserted above");
         for incoming in versions {
             let clock = incoming.clock().clone();
             let outcome = data.siblings.merge_version(&self.backend, incoming, false);
@@ -540,7 +563,7 @@ impl<B: StoreBackend> Cluster<B> {
         let shard_index = self.shards.index(key);
         let (mut plane, mut shard) = {
             let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
+            (self.plane[shard_index].lock(), self.replicas[replica].write(shard_index))
         };
         // The common case is an already-known key: probe before allocating
         // an owned copy for the map entry.
@@ -555,9 +578,9 @@ impl<B: StoreBackend> Cluster<B> {
         if !shard.contains_key(key) {
             let element =
                 entry.unclaimed[replica].take().expect("initial element claimed exactly once");
-            shard.insert(key.to_owned(), KeyData::new(&self.backend, element));
+            shard.insert(key.to_owned(), KeyData::new(&self.backend, key, element));
         }
-        let data = shard.get_mut(key).expect("inserted above");
+        let mut data = shard.get_mut(key).expect("inserted above");
         let (advanced, clock, dot) = {
             let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
             self.backend.write(&mut entry.state, data.element(), context)
@@ -628,14 +651,21 @@ impl<B: StoreBackend> Cluster<B> {
         true
     }
 
-    /// The digest of one replica's whole data plane. Fingerprints read the
-    /// sibling sets' cached hashes — nothing is encoded here.
+    /// The digest of one replica's whole data plane. Fingerprints are the
+    /// keys' sealed fingerprints — nothing is hashed or encoded here.
     #[must_use]
     pub fn build_digest(&self, replica: usize) -> Vec<DigestEntry> {
+        self.digest_entries(replica, None)
+    }
+
+    /// The digest lines of the keys in `scope`'s buckets (every key when
+    /// `scope` is `None`), sorted by key.
+    fn digest_entries(&self, replica: usize, scope: Option<&BucketMask>) -> Vec<DigestEntry> {
         let mut entries = Vec::new();
         for shard_index in 0..self.shards.count() {
-            let shard = self.replicas[replica].shard(shard_index).read();
-            for (key, data) in shard.iter() {
+            let shard = self.replicas[replica].read(shard_index);
+            for (key, data) in shard.iter().filter(|(_, data)| in_scope(scope, data)) {
+                debug_assert_eq!(data.fingerprint(), data.fresh_fingerprint(), "unsealed {key}");
                 entries.push(DigestEntry {
                     key: key.clone(),
                     fingerprint: data.fingerprint(),
@@ -647,51 +677,56 @@ impl<B: StoreBackend> Cluster<B> {
         entries
     }
 
-    /// An O(1)-sized root fingerprint of one replica's whole digest: FNV
-    /// over the sorted `(key, fingerprint)` lines. Equal roots mean equal
-    /// digests mean nothing to exchange — the adaptive wire opens every
-    /// exchange with this 8-byte probe and skips the digest/delta flow
-    /// entirely on a hit. Correctness never depends on it: a miss (or a
-    /// 64-bit collision, the same trust model as the per-key fingerprint
-    /// skip) just falls back to the full digest round.
+    /// An O(1) root fingerprint of one replica's whole digest: a hash over
+    /// the data plane's 256 bucket sums, which every write keeps current.
+    /// It takes no lock, allocates nothing and sorts nothing. Equal roots
+    /// mean equal digests mean nothing to exchange — the adaptive wire
+    /// opens every exchange with this 8-byte probe and skips the
+    /// digest/delta flow entirely on a hit. Correctness never depends on
+    /// it: a miss (or a 64-bit collision, the same trust model as the
+    /// per-key fingerprint skip) just falls back to the digest round.
     #[must_use]
     pub fn digest_root(&self, replica: usize) -> u64 {
-        let mut lines: Vec<(Key, u64)> = Vec::new();
-        for shard_index in 0..self.shards.count() {
-            let shard = self.replicas[replica].shard(shard_index).read();
-            for (key, data) in shard.iter() {
-                lines.push((key.clone(), data.fingerprint()));
-            }
-        }
-        lines.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut root = fnv1a(b"digest-root");
-        for (key, fingerprint) in &lines {
-            root = fnv1a_extend(root, &(key.len() as u64).to_le_bytes());
-            root = fnv1a_extend(root, key.as_bytes());
-            root = fnv1a_extend(root, &fingerprint.to_le_bytes());
-        }
-        root
+        self.replicas[replica].root()
     }
 
-    /// Builds the responder's delta for a requester digest: every key the
-    /// responder holds whose fingerprint differs (or which the requester
-    /// lacks) is shipped — forked element plus the shared sibling set
-    /// (`Arc` bumps, no value copies).
-    fn respond_delta(&self, responder: usize, digest: &[DigestEntry]) -> (Vec<KeyDelta<B>>, usize) {
-        let requested: HashMap<&str, u64> =
-            digest.iter().map(|entry| (entry.key.as_str(), entry.fingerprint)).collect();
-        let assumed: HashMap<&str, u64> =
-            digest.iter().map(|entry| (entry.key.as_str(), entry.ctx_fp)).collect();
+    /// The buckets, at `level`, where the requester's sums differ from the
+    /// responder's `theirs` (`2^level` sums, length checked by the
+    /// decoder).
+    fn differing_buckets(&self, replica: usize, level: u8, theirs: &[u64]) -> BucketMask {
+        let mut mask = BucketMask::empty(level);
+        let ours = self.replicas[replica].bucket_sums(level);
+        for (bucket, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
+            if ours != theirs {
+                mask.insert(bucket);
+            }
+        }
+        mask
+    }
+
+    /// Builds the responder's delta for a requester digest: every key in
+    /// `scope` the responder holds whose fingerprint differs (or which the
+    /// requester lacks) is shipped — forked element plus the shared
+    /// sibling set (`Arc` bumps, no value copies).
+    fn respond_delta(
+        &self,
+        responder: usize,
+        digest: &[DigestEntry],
+        scope: Option<&BucketMask>,
+    ) -> (Vec<KeyDelta<B>>, usize) {
+        let requested: HashMap<&str, &DigestEntry> =
+            digest.iter().map(|entry| (entry.key.as_str(), entry)).collect();
         let mut deltas = Vec::new();
         let mut skipped = 0usize;
         for shard_index in 0..self.shards.count() {
             let keys: Vec<(Key, u64)> = {
-                let shard = self.replicas[responder].shard(shard_index).read();
+                let shard = self.replicas[responder].read(shard_index);
                 shard
                     .iter()
+                    .filter(|(_, data)| in_scope(scope, data))
                     .filter_map(|(key, data)| match requested.get(key.as_str()) {
-                        Some(fingerprint) if *fingerprint == data.fingerprint() => None,
-                        Some(_) => Some((key.clone(), assumed[key.as_str()])),
+                        Some(entry) if entry.fingerprint == data.fingerprint() => None,
+                        Some(entry) => Some((key.clone(), entry.ctx_fp)),
                         // The requester lacks the key: its sibling set is
                         // empty, whose hash is 0.
                         None => Some((key.clone(), 0)),
@@ -728,10 +763,10 @@ impl<B: StoreBackend> Cluster<B> {
     ) -> Option<(KeyDelta<B>, usize)> {
         let (mut plane, mut shard) = {
             let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[responder].shard(shard_index).write())
+            (self.plane[shard_index].lock(), self.replicas[responder].write(shard_index))
         };
         let entry = plane.get_mut(key)?;
-        let data = shard.get_mut(key)?;
+        let mut data = shard.get_mut(key)?;
         let (kept, shipped) = {
             let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
             self.backend.detach(&mut entry.state, data.element())
@@ -796,10 +831,7 @@ impl<B: StoreBackend> Cluster<B> {
             let (mut plane, mut shard) = {
                 let _timer =
                     self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-                (
-                    self.plane[shard_index].lock(),
-                    self.replicas[requester].shard(shard_index).write(),
-                )
+                (self.plane[shard_index].lock(), self.replicas[requester].write(shard_index))
             };
             while let Some((_, delta)) =
                 grouped.next_if(|&(next_shard, _)| next_shard == shard_index)
@@ -824,7 +856,7 @@ impl<B: StoreBackend> Cluster<B> {
         &self,
         requester: usize,
         plane: &mut HashMap<Key, KeyPlane<B>>,
-        shard: &mut HashMap<Key, KeyData<B>>,
+        shard: &mut ShardWrite<'_, B>,
         delta: WireKeyDelta<B>,
     ) -> Option<Key> {
         let WireKeyDelta { key, element, versions } = delta;
@@ -842,16 +874,16 @@ impl<B: StoreBackend> Cluster<B> {
             }
             let state = self.backend.adopt_key(&element)?;
             plane.insert(key.clone(), KeyPlane { state, unclaimed: vec![None] });
-            shard.insert(key.clone(), KeyData::new(&self.backend, element.clone()));
+            shard.insert(key.clone(), KeyData::new(&self.backend, &key, element.clone()));
             true
         };
         let entry = plane.get_mut(&key).expect("present or just adopted");
         if !shard.contains_key(&key) {
             let claimed =
                 entry.unclaimed[requester].take().expect("initial element claimed exactly once");
-            shard.insert(key.clone(), KeyData::new(&self.backend, claimed));
+            shard.insert(key.clone(), KeyData::new(&self.backend, &key, claimed));
         }
-        let data = shard.get_mut(&key).expect("inserted above");
+        let mut data = shard.get_mut(&key).expect("inserted above");
         // An adopted element was consumed as the local element; there is
         // nothing separate to absorb.
         if !adopted {
@@ -927,10 +959,13 @@ impl<B: StoreBackend> Cluster<B> {
     /// The requester half of the anti-entropy protocol: one pull of
     /// `replica` from the peer behind `link`. Opens with an 8-byte
     /// digest-root probe (a hit means the peers already converged and the
-    /// pull ends), then sends the full digest, applies the delta reply
-    /// through the batched path and refetches fingerprint misses as full
-    /// frames in at most three NAK rounds. `from` is the sender id
-    /// stamped on every envelope this side sends.
+    /// pull ends). A miss carries the responder's bucket sums at some
+    /// level (none below 128 keys); the digest then holds only the keys of
+    /// the buckets whose sums differ, marked by a bucket-mask trailer.
+    /// The delta reply is applied through the batched path, and
+    /// fingerprint misses are refetched as full frames in at most three
+    /// NAK rounds. `from` is the sender id stamped on every envelope this
+    /// side sends.
     ///
     /// Every merge is idempotent, so a duplicated, dropped or replayed
     /// reply can fail one pull but never corrupt the store.
@@ -941,6 +976,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// that fail to decode ([`io::ErrorKind::InvalidData`]).
     pub fn pull(&self, replica: usize, from: usize, link: &mut impl Link) -> io::Result<()> {
         self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
+        let mut scope = None;
         if self.policy.delta_frames {
             // The perturb knob forces misses so benches and tests exercise
             // the digest fallback.
@@ -951,14 +987,27 @@ impl<B: StoreBackend> Cluster<B> {
             let probe = Envelope { from, kind: MessageKind::Probe, payload: encode_probe(root) };
             self.wire.root_probes.fetch_add(1, Ordering::Relaxed);
             count_sent(&self.wire.digest_bytes, &probe);
-            match link.request(&probe)?.kind {
+            let reply = link.request(&probe)?;
+            match reply.kind {
                 MessageKind::Ack => return Ok(()),
-                MessageKind::Miss => {}
+                MessageKind::Miss => {
+                    let (level, theirs) =
+                        decode_miss(&reply.payload).map_err(|_| invalid("miss did not decode"))?;
+                    if level > 0 {
+                        let mask = self.differing_buckets(replica, level, &theirs);
+                        if mask.is_empty() {
+                            // Every bucket already agrees: the root differed
+                            // only across writes racing this exchange.
+                            return Ok(());
+                        }
+                        scope = Some(mask);
+                    }
+                }
                 _ => return Err(invalid("probe reply was neither Ack nor Miss")),
             }
         }
-        let digest = self.build_digest(replica);
-        let payload = self.with_codec(|| encode_digest(&digest));
+        let digest = self.digest_entries(replica, scope.as_ref());
+        let payload = self.with_codec(|| encode_digest_scoped(&digest, scope.as_ref()));
         let digest = Envelope { from, kind: MessageKind::Digest, payload };
         count_sent(&self.wire.digest_bytes, &digest);
         let mut reply = link.request(&digest)?;
@@ -983,27 +1032,33 @@ impl<B: StoreBackend> Cluster<B> {
 
     /// The responder half of the anti-entropy protocol: answers one
     /// request addressed to `replica` — Probe with Ack (digest roots
-    /// equal) or Miss, Digest with the adaptively-framed Delta, Nak with a
-    /// full-frame Delta of the missed keys. `from` is the sender id
-    /// stamped on the reply. Returns `None` for a payload that does not
-    /// decode and for every other message kind; peer input never panics.
+    /// equal) or Miss (carrying bucket sums once the replica holds 128
+    /// keys), Digest with the adaptively-framed Delta of the keys in its
+    /// bucket scope, Nak with a full-frame Delta of the missed keys.
+    /// `from` is the sender id stamped on the reply. Returns `None` for a
+    /// payload that does not decode and for every other message kind;
+    /// peer input never panics.
     pub fn serve(&self, replica: usize, from: usize, request: &Envelope) -> Option<Envelope> {
         let (payload, stats) = match request.kind {
             MessageKind::Probe => {
                 let root = decode_probe(&request.payload).ok()?;
-                let kind = if root == self.digest_root(replica) {
+                let plane = &self.replicas[replica];
+                let reply = if root == plane.root() {
                     self.wire.root_matches.fetch_add(1, Ordering::Relaxed);
-                    MessageKind::Ack
+                    Envelope { from, kind: MessageKind::Ack, payload: Vec::new() }
                 } else {
-                    MessageKind::Miss
+                    let level = scope_level(plane.key_count());
+                    let payload = encode_miss(level, &plane.bucket_sums(level));
+                    Envelope { from, kind: MessageKind::Miss, payload }
                 };
-                let reply = Envelope { from, kind, payload: Vec::new() };
                 count_sent(&self.wire.digest_bytes, &reply);
                 return Some(reply);
             }
             MessageKind::Digest => {
-                let digest = self.with_codec(|| decode_digest(&request.payload)).ok()?;
-                let (deltas, versions_skipped) = self.respond_delta(replica, &digest);
+                let (digest, scope) =
+                    self.with_codec(|| decode_digest_scoped(&request.payload)).ok()?;
+                let (deltas, versions_skipped) =
+                    self.respond_delta(replica, &digest, scope.as_ref());
                 self.wire.versions_skipped.fetch_add(versions_skipped, Ordering::Relaxed);
                 self.with_codec(|| encode_delta(&self.backend, &deltas, self.policy))
             }
@@ -1036,7 +1091,7 @@ impl<B: StoreBackend> Cluster<B> {
     fn sibling_snapshot(&self, replica: usize) -> HashMap<Key, Vec<Vec<u8>>> {
         let mut snapshot = HashMap::new();
         for shard_index in 0..self.shards.count() {
-            let shard = self.replicas[replica].shard(shard_index).read();
+            let shard = self.replicas[replica].read(shard_index);
             for (key, data) in shard.iter() {
                 snapshot.insert(key.clone(), data.siblings.canonical_versions());
             }
@@ -1067,22 +1122,22 @@ impl<B: StoreBackend> Cluster<B> {
                 let entry = plane.get_mut(&key).expect("listed key");
                 // Forced GC pass: clear any deferred collapse debt.
                 for replica in &self.replicas {
-                    let mut shard = replica.shard(shard_index).write();
-                    if let Some(data) = shard.get_mut(&key) {
+                    let mut shard = replica.write(shard_index);
+                    if let Some(mut data) = shard.get_mut(&key) {
                         if let Some(flushed) =
                             self.backend.flush_gc(&mut entry.state, data.element())
                         {
                             data.set_element(&self.backend, flushed);
                             stats.elements_flushed += 1;
                         }
-                    }
+                    };
                 }
                 // Gather every replica's element and its single version.
                 let mut elements = Vec::with_capacity(self.replicas.len());
                 let mut versions: Vec<StoredVersion<B>> = Vec::with_capacity(self.replicas.len());
                 let mut eligible = true;
                 for replica in &self.replicas {
-                    let shard = replica.shard(shard_index).read();
+                    let shard = replica.read(shard_index);
                     match shard.get(&key) {
                         Some(data) if data.siblings.len() == 1 => {
                             elements.push(data.element().clone());
@@ -1112,7 +1167,7 @@ impl<B: StoreBackend> Cluster<B> {
                     // the checks above established, so it applies to every
                     // backend alike (identifier-based ones included).
                     for replica in &self.replicas {
-                        replica.shard(shard_index).write().remove(&key);
+                        replica.write(shard_index).remove(&key);
                     }
                     plane.remove(&key);
                     stats.keys_dropped += 1;
@@ -1124,8 +1179,8 @@ impl<B: StoreBackend> Cluster<B> {
                     std::slice::from_ref(versions[0].clock()),
                 ) {
                     for (replica, fresh) in self.replicas.iter().zip(fresh_elements) {
-                        let mut shard = replica.shard(shard_index).write();
-                        let data = shard.get_mut(&key).expect("eligibility checked");
+                        let mut shard = replica.write(shard_index);
+                        let mut data = shard.get_mut(&key).expect("eligibility checked");
                         data.set_element(&self.backend, fresh);
                         data.siblings.remint(&self.backend, fresh_clock.clone());
                     }
@@ -1149,7 +1204,7 @@ impl<B: StoreBackend> Cluster<B> {
         let mut max_key_metadata_bits = 0usize;
         for replica in &self.replicas {
             for shard_index in 0..self.shards.count() {
-                let shard = replica.shard(shard_index).read();
+                let shard = replica.read(shard_index);
                 for (key, data) in shard.iter() {
                     keys.insert(key.clone());
                     total_versions += data.siblings.len();
@@ -1186,6 +1241,7 @@ impl<B: StoreBackend> Cluster<B> {
 mod tests {
     use super::*;
     use crate::backend::{DynamicVvBackend, GcWatermarks, VstampBackend};
+    use crate::wire::encode_digest;
 
     fn full_sweep<B: StoreBackend>(cluster: &Cluster<B>) {
         let n = cluster.replica_count();
@@ -1530,7 +1586,7 @@ mod tests {
         }
         cluster.enable_profiling();
         let digest = cluster.build_digest(1);
-        let (deltas, _) = cluster.respond_delta(0, &digest);
+        let (deltas, _) = cluster.respond_delta(0, &digest, None);
         let shards_touched: std::collections::HashSet<usize> =
             deltas.iter().map(|delta| cluster.shards.index(&delta.key)).collect();
         let (payload, _) = encode_delta(cluster.backend(), &deltas, DeltaPolicy::FULL_ONLY);
@@ -1588,6 +1644,42 @@ mod tests {
             }
             assert_eq!(serve(kind, &[]), None, "{kind:?} must be refused");
         }
+        // Digest trailers: a scoped digest is answered, and cutting into
+        // its trailer is refused — except a cut of the whole trailer,
+        // which leaves a valid full digest.
+        let digest = cluster.build_digest(1);
+        let full = encode_digest(&digest);
+        let mut mask = BucketMask::empty(3);
+        mask.insert(5);
+        let scoped = encode_digest_scoped(&digest, Some(&mask));
+        assert!(serve(MessageKind::Digest, &scoped).is_some(), "a scoped digest is answered");
+        for cut in full.len() + 1..scoped.len() {
+            assert_eq!(serve(MessageKind::Digest, &scoped[..cut]), None, "trailer cut to {cut}");
+        }
+        assert!(serve(MessageKind::Digest, &scoped[..full.len()]).is_some());
+        for (trailer, why) in [
+            (vec![0], "level 0"),
+            (vec![0, 0xFF], "level 0 with a mask"),
+            ([vec![9], vec![0xFF; 64]].concat(), "level above 8"),
+            (vec![200, 1], "level far above 8"),
+            (vec![3], "missing mask"),
+            (vec![3, 1, 1], "mask too long"),
+            (vec![8, 1], "mask too short"),
+            (vec![2, 0x10], "bucket beyond the level"),
+        ] {
+            let payload = [full.clone(), trailer].concat();
+            assert_eq!(serve(MessageKind::Digest, &payload), None, "{why} must be refused");
+        }
+    }
+
+    /// Whether `trailer` is a valid digest trailer: none at all, or a
+    /// level in `1..=8`, a mask of `⌈2^level / 8⌉` bytes, and no bucket
+    /// beyond `2^level − 1`.
+    fn valid_trailer(trailer: &[u8]) -> bool {
+        let Some((&level, mask)) = trailer.split_first() else { return true };
+        (1..=8).contains(&level)
+            && mask.len() == (1usize << level).div_ceil(8)
+            && (level >= 3 || mask[0] >> (1 << level) == 0)
     }
 
     proptest::proptest! {
@@ -1617,6 +1709,85 @@ mod tests {
                 }
             }
         }
+
+        /// Random bytes after a valid digest are answered exactly when
+        /// they form a valid bucket-mask trailer, and never panic.
+        #[test]
+        fn serve_never_panics_on_random_digest_trailers(
+            level in 0u8..12,
+            mask in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+            bare in proptest::prelude::any::<bool>(),
+        ) {
+            let cluster = diverged_pair();
+            let trailer = if bare { Vec::new() } else { [vec![level], mask].concat() };
+            let payload = [encode_digest(&cluster.build_digest(1)), trailer.clone()].concat();
+            let reply =
+                cluster.serve(0, 0, &Envelope { from: 1, kind: MessageKind::Digest, payload });
+            proptest::prop_assert_eq!(reply.is_some(), valid_trailer(&trailer));
+            if let Some(reply) = reply {
+                proptest::prop_assert!(decode_delta(cluster.backend(), &reply.payload).is_ok());
+            }
+        }
+
+        /// Every mutation path — put, blind put, delete, anti-entropy,
+        /// compaction and read-repair get — leaves each replica's cached
+        /// fingerprints and bucket sums equal to a from-scratch
+        /// recomputation, and two replicas' digest roots agree exactly
+        /// when their `(key, fingerprint)` digests do.
+        #[test]
+        fn seals_match_a_fresh_recomputation_after_every_step(
+            ops in proptest::collection::vec((0u8..7, 0u8..6, 0usize..3, 0usize..3), 1..40),
+        ) {
+            let mut cluster = Cluster::with_config(
+                VstampBackend::gc(),
+                ClusterConfig::new(3, 4).with_read_repair(),
+            );
+            for (step, (op, key, replica, other)) in ops.into_iter().enumerate() {
+                let key = format!("k{key}");
+                match op {
+                    0 => {
+                        let read = cluster.get(replica, &key);
+                        cluster.put(replica, &key, vec![step as u8], read.context());
+                    }
+                    1 => {
+                        cluster.put(replica, &key, vec![step as u8], None);
+                    }
+                    2 => {
+                        let read = cluster.get(replica, &key);
+                        cluster.delete(replica, &key, read.context());
+                    }
+                    3 if replica != other => cluster.anti_entropy(replica, other),
+                    4 => {
+                        let _repaired = cluster.get(replica, &key);
+                    }
+                    5 => {
+                        cluster.compact();
+                    }
+                    _ => full_sweep(&cluster),
+                }
+                for plane in &cluster.replicas {
+                    let (sums, keys) = plane.recomputed_sums();
+                    proptest::prop_assert_eq!(plane.maintained_sums(), sums, "step {}", step);
+                    proptest::prop_assert_eq!(plane.key_count(), keys, "step {}", step);
+                    for shard_index in 0..cluster.shard_count() {
+                        for data in plane.read(shard_index).values() {
+                            proptest::prop_assert_eq!(data.fingerprint(), data.fresh_fingerprint());
+                        }
+                    }
+                }
+                let lines = |replica| -> Vec<(Key, u64)> {
+                    let digest = cluster.build_digest(replica);
+                    digest.into_iter().map(|entry| (entry.key, entry.fingerprint)).collect()
+                };
+                for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                    proptest::prop_assert_eq!(
+                        cluster.digest_root(a) == cluster.digest_root(b),
+                        lines(a) == lines(b),
+                        "step {}: replicas {} and {}", step, a, b
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1630,7 +1801,7 @@ mod tests {
         let read = cluster.get(2, "k");
         assert_eq!(read.values().len(), 2, "read must serve the cluster-wide merge");
         for replica in 0..3 {
-            let shard = cluster.replicas[replica].shard(cluster.shards.index("k")).read();
+            let shard = cluster.replicas[replica].read(cluster.shards.index("k"));
             assert_eq!(
                 shard.get("k").map(|data| data.siblings.len()),
                 Some(2),
@@ -1642,6 +1813,93 @@ mod tests {
         cluster.put(0, "k", b"merged".to_vec(), Some(&context));
         assert_eq!(cluster.get(1, "k").values(), vec![b"merged".to_vec()]);
         assert_eq!(cluster.get(2, "k").values(), vec![b"merged".to_vec()]);
+    }
+
+    #[test]
+    fn scope_level_follows_the_key_count() {
+        assert_eq!(scope_level(0), 0);
+        assert_eq!(scope_level(127), 0);
+        assert_eq!(scope_level(128), 1);
+        assert_eq!(scope_level(4_000), 5);
+        assert_eq!(scope_level(10_000), 7);
+        assert_eq!(scope_level(16_384), 8);
+        assert_eq!(scope_level(usize::MAX), 8);
+    }
+
+    #[test]
+    fn scoped_exchange_ships_only_the_differing_buckets() {
+        let cluster = Cluster::new(VstampBackend::gc(), 2, 16);
+        for i in 0..4_000u32 {
+            cluster.put(0, &format!("key-{i}"), i.to_le_bytes().to_vec(), None);
+        }
+        for _ in 0..4 {
+            cluster.anti_entropy(1, 0);
+            cluster.anti_entropy(0, 1);
+        }
+        assert_eq!(cluster.digest_root(0), cluster.digest_root(1), "the pair starts in sync");
+        // The responder moves on three keys; the requester lacks one.
+        for key in ["key-7", "key-2024"] {
+            let read = cluster.get(0, key);
+            cluster.put(0, key, b"updated".to_vec(), read.context());
+        }
+        cluster.put(0, "brand-new", b"fresh".to_vec(), None);
+        assert_eq!(scope_level(cluster.replicas[0].key_count()), 5, "32 buckets");
+        let full_digest = encode_digest(&cluster.build_digest(1)).len();
+
+        let before = cluster.gossip_stats();
+        cluster.anti_entropy(1, 0);
+        let after = cluster.gossip_stats();
+        assert!(cluster.converged(), "one scoped pull must converge the pair");
+        assert_eq!(cluster.get(1, "brand-new").values(), vec![b"fresh".to_vec()]);
+        assert_eq!(cluster.get(1, "key-2024").values(), vec![b"updated".to_vec()]);
+        let spent = after.digest_bytes - before.digest_bytes;
+        assert!(
+            spent * 5 < full_digest,
+            "probe + Miss + scoped Digest cost {spent} B against a {full_digest} B full digest"
+        );
+    }
+
+    /// A peer that answers every probe with a fixed `Miss` payload and
+    /// records what it was asked.
+    struct ScriptedMiss {
+        miss: Vec<u8>,
+        asked: Vec<MessageKind>,
+    }
+
+    impl Link for ScriptedMiss {
+        fn request(&mut self, request: &Envelope) -> io::Result<Envelope> {
+            self.asked.push(request.kind);
+            Ok(Envelope { from: 9, kind: MessageKind::Miss, payload: self.miss.clone() })
+        }
+    }
+
+    #[test]
+    fn pull_rejects_malformed_bucket_sums() {
+        let cluster = diverged_pair();
+        let sums = |level: u32, count: usize| [vec![level as u8], vec![0xAB; 8 * count]].concat();
+        for (miss, why) in [
+            (vec![0, 0, 0, 0, 0, 0, 0, 0, 0], "level 0 with sums"),
+            (sums(9, 512), "level 9 with all its sums"),
+            (sums(64, 4), "level 64"),
+            (sums(255, 0), "level 255"),
+            (sums(5, 31), "one sum short"),
+            (sums(5, 33), "one sum over"),
+            (vec![3, 1, 2, 3], "a torn sum"),
+            (vec![1], "no sums"),
+        ] {
+            let mut link = ScriptedMiss { miss, asked: Vec::new() };
+            let error = cluster.pull(1, 1, &mut link).expect_err(why);
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{why}");
+            assert_eq!(link.asked, vec![MessageKind::Probe], "{why}: no digest follows");
+        }
+        // Whatever level a payload claims, decoding holds at most 2^8 sums.
+        for level in 0..=u8::MAX {
+            let payload = [vec![level], vec![0; 8 << level.min(12)]].concat();
+            if let Ok((decoded, held)) = decode_miss(&payload) {
+                assert!((1..=MAX_BUCKET_LEVEL).contains(&decoded));
+                assert!(held.len() <= 1 << MAX_BUCKET_LEVEL);
+            }
+        }
     }
 
     #[test]

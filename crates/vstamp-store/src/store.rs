@@ -35,11 +35,26 @@
 //!   rebuilt once per mutation, so a causal `get` under concurrency is one
 //!   `Arc` clone under a briefly-held shard read lock — contention-free
 //!   against writers on other keys of the shard and copy-free always.
+//!
+//! # Digest summary
+//!
+//! Each key caches its anti-entropy fingerprint, and each replica's data
+//! plane keeps 256 bucket sums over its keys: a key lands in the bucket
+//! named by the top 8 bits of its mixed key hash (never by its shard, so
+//! replicas with different shard counts agree) and adds a hash of
+//! `(key, fingerprint)` to that bucket's wrapping sum. The digest root is
+//! a hash over the 256 sums, and a scoped exchange compares sums folded to
+//! fewer bits to find the buckets that differ. The shard maps are only
+//! writable through `ShardWrite` and `KeyMut`, which reseal the
+//! fingerprint and move the bucket sum on every mutation, so a stale sum
+//! (and with it a false "in sync") cannot be written without failing to
+//! compile.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vstamp_core::Relation;
 
 use crate::backend::StoreBackend;
@@ -611,6 +626,12 @@ pub(crate) struct KeyData<B: StoreBackend> {
     knowledge: Vec<u8>,
     /// The sibling set: pairwise-concurrent versions.
     pub(crate) siblings: SiblingSet<B>,
+    /// Mixed hash of the key: its top bits pick the digest bucket, and it
+    /// salts the key's contribution to that bucket's sum.
+    key_hash: u64,
+    /// The fingerprint as of the last seal ([`ShardWrite::insert`] or a
+    /// dropped [`KeyMut`]).
+    fingerprint: u64,
 }
 
 /// The outcome of merging one incoming version into a sibling set.
@@ -627,10 +648,16 @@ pub(crate) struct MergeOutcome<B: StoreBackend> {
 }
 
 impl<B: StoreBackend> KeyData<B> {
-    pub(crate) fn new(backend: &B, element: B::Element) -> Self {
+    pub(crate) fn new(backend: &B, key: &str, element: B::Element) -> Self {
         let mut knowledge = Vec::new();
         backend.encode_element_knowledge(&element, &mut knowledge);
-        KeyData { element, knowledge, siblings: SiblingSet::new() }
+        KeyData {
+            element,
+            knowledge,
+            siblings: SiblingSet::new(),
+            key_hash: mix64(fnv1a(key.as_bytes())),
+            fingerprint: 0,
+        }
     }
 
     pub(crate) fn element(&self) -> &B::Element {
@@ -644,34 +671,226 @@ impl<B: StoreBackend> KeyData<B> {
         self.element = element;
     }
 
-    /// Fingerprint of this key's state: the order-independent sibling hash
-    /// mixed with the element's knowledge. Constant-size hashing per call —
-    /// the per-version work was paid once, when each version entered the
-    /// set. Identical fingerprints let an exchange skip the key;
-    /// crucially the fingerprint covers the element's *knowledge*, so
-    /// exchanges keep flowing until element knowledge — not just data —
-    /// has converged, which is what arms quiescent-point compaction.
+    /// Fingerprint of this key's state, cached at the last seal: the
+    /// order-independent sibling hash mixed with the element's knowledge.
+    /// Identical fingerprints let an exchange skip the key; crucially the
+    /// fingerprint covers the element's *knowledge*, so exchanges keep
+    /// flowing until element knowledge — not just data — has converged,
+    /// which is what arms quiescent-point compaction.
     pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The fingerprint recomputed from the current state — what a seal
+    /// caches. Constant-size hashing: the per-version work was paid once,
+    /// when each version entered the set.
+    pub(crate) fn fresh_fingerprint(&self) -> u64 {
         let hash = fnv1a_extend(FNV_OFFSET, &self.siblings.versions_hash().to_le_bytes());
         fnv1a_extend(hash, &self.knowledge)
+    }
+
+    /// The key's digest bucket at `level` (the top `level` bits of the
+    /// mixed key hash; level 0 is the single whole-digest bucket).
+    pub(crate) fn bucket(&self, level: u8) -> usize {
+        debug_assert!(level <= BUCKET_BITS);
+        // `checked_shr` covers level 0: a shift by 64 is the single bucket 0.
+        self.key_hash.checked_shr(64 - u32::from(level)).unwrap_or(0) as usize
+    }
+
+    /// What this key adds to its bucket's sum, given its fingerprint.
+    fn contribution(&self, fingerprint: u64) -> u64 {
+        mix64(self.key_hash ^ mix64(fingerprint ^ 0x5851_F42D_4C95_7F2D))
+    }
+}
+
+/// Bits of the mixed key hash that pick a key's digest bucket.
+pub(crate) const BUCKET_BITS: u8 = 8;
+
+/// Number of digest buckets a data plane maintains.
+pub(crate) const BUCKETS: usize = 1 << BUCKET_BITS;
+
+/// The splitmix64 finalizer: spreads FNV's weak high bits before they pick
+/// a bucket, and makes bucket contributions independent of each other.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The incremental summary of one replica's digest: per bucket, the
+/// wrapping sum of its keys' contributions, plus the key count. Sums
+/// depend only on the `(key, fingerprint)` set, never on shard layout or
+/// insertion order, so replicas with equal digests hold equal sums.
+///
+/// Every access is `Relaxed`: the sums publish no other data. A reader
+/// that sees a sum a moment stale at worst ends one exchange early or
+/// runs one needlessly; the next exchange reads it current.
+#[derive(Debug)]
+struct DigestSums {
+    buckets: [AtomicU64; BUCKETS],
+    keys: AtomicUsize,
+}
+
+impl DigestSums {
+    fn add(&self, bucket: usize, delta: u64) {
+        if delta != 0 {
+            self.buckets[bucket].fetch_add(delta, Ordering::Relaxed);
+        }
     }
 }
 
 /// One replica's data plane: hash-partitioned shards, each an
-/// independently-locked map. Client gets take a shard read lock; writes and
-/// anti-entropy merges take the write lock of a single shard.
+/// independently-locked map, plus the [`DigestSums`] summary every
+/// mutation keeps current. Client gets take a shard read lock; writes and
+/// anti-entropy merges take the write lock of a single shard through a
+/// [`ShardWrite`], the only mutable path to the maps.
 #[derive(Debug)]
 pub(crate) struct DataPlane<B: StoreBackend> {
     shards: Vec<RwLock<HashMap<Key, KeyData<B>>>>,
+    sums: DigestSums,
 }
 
 impl<B: StoreBackend> DataPlane<B> {
     pub(crate) fn new(shard_count: usize) -> Self {
-        DataPlane { shards: (0..shard_count.max(1)).map(|_| RwLock::new(HashMap::new())).collect() }
+        DataPlane {
+            shards: (0..shard_count.max(1)).map(|_| RwLock::new(HashMap::new())).collect(),
+            sums: DigestSums {
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                keys: AtomicUsize::new(0),
+            },
+        }
     }
 
-    pub(crate) fn shard(&self, index: usize) -> &RwLock<HashMap<Key, KeyData<B>>> {
-        &self.shards[index]
+    /// Read access to one shard.
+    pub(crate) fn read(&self, index: usize) -> RwLockReadGuard<'_, HashMap<Key, KeyData<B>>> {
+        self.shards[index].read()
+    }
+
+    /// Write access to one shard; every mutation through it reseals.
+    pub(crate) fn write(&self, index: usize) -> ShardWrite<'_, B> {
+        ShardWrite { map: self.shards[index].write(), sums: &self.sums }
+    }
+
+    /// Number of keys the replica holds.
+    pub(crate) fn key_count(&self) -> usize {
+        self.sums.keys.load(Ordering::Relaxed)
+    }
+
+    /// The bucket sums folded to `level`: `2^level` sums, entry `i` the
+    /// total of the level-8 buckets whose top `level` bits are `i`.
+    pub(crate) fn bucket_sums(&self, level: u8) -> Vec<u64> {
+        let mut folded = vec![0u64; 1 << level];
+        for (bucket, sum) in self.sums.buckets.iter().enumerate() {
+            let slot = &mut folded[bucket >> (BUCKET_BITS - level)];
+            *slot = slot.wrapping_add(sum.load(Ordering::Relaxed));
+        }
+        folded
+    }
+
+    /// A 64-bit hash over the 256 bucket sums: lock-free, allocation-free
+    /// and independent of the key count.
+    pub(crate) fn root(&self) -> u64 {
+        self.sums
+            .buckets
+            .iter()
+            .fold(FNV_OFFSET, |root, sum| mix64(root ^ sum.load(Ordering::Relaxed)))
+    }
+
+    /// The bucket sums and key count recomputed from scratch, for tests
+    /// that check every seal landed.
+    #[cfg(test)]
+    pub(crate) fn recomputed_sums(&self) -> ([u64; BUCKETS], usize) {
+        let mut sums = [0u64; BUCKETS];
+        let mut keys = 0;
+        for shard in &self.shards {
+            for data in shard.read().values() {
+                let bucket = data.bucket(BUCKET_BITS);
+                sums[bucket] =
+                    sums[bucket].wrapping_add(data.contribution(data.fresh_fingerprint()));
+                keys += 1;
+            }
+        }
+        (sums, keys)
+    }
+
+    /// The maintained bucket sums, unfolded.
+    #[cfg(test)]
+    pub(crate) fn maintained_sums(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|bucket| self.sums.buckets[bucket].load(Ordering::Relaxed))
+    }
+}
+
+/// A write-locked shard. It hands out no `&mut` to its map: keys are
+/// inserted and removed through it, and mutated through a [`KeyMut`], so
+/// no mutation can leave the digest sums stale.
+pub(crate) struct ShardWrite<'a, B: StoreBackend> {
+    map: RwLockWriteGuard<'a, HashMap<Key, KeyData<B>>>,
+    sums: &'a DigestSums,
+}
+
+impl<B: StoreBackend> ShardWrite<'_, B> {
+    pub(crate) fn contains_key(&self, key: &str) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// Mutable access to one key, resealed when the handle drops.
+    pub(crate) fn get_mut(&mut self, key: &str) -> Option<KeyMut<'_, B>> {
+        let sums = self.sums;
+        self.map.get_mut(key).map(|data| KeyMut { data, sums })
+    }
+
+    /// Inserts a key absent from the shard, sealing its contribution in.
+    pub(crate) fn insert(&mut self, key: Key, mut data: KeyData<B>) {
+        data.fingerprint = data.fresh_fingerprint();
+        self.sums.add(data.bucket(BUCKET_BITS), data.contribution(data.fingerprint));
+        self.sums.keys.fetch_add(1, Ordering::Relaxed);
+        let previous = self.map.insert(key, data);
+        debug_assert!(previous.is_none(), "insert is for absent keys");
+    }
+
+    /// Removes a key, taking its contribution out of the sums.
+    pub(crate) fn remove(&mut self, key: &str) -> Option<KeyData<B>> {
+        let data = self.map.remove(key)?;
+        self.sums.add(data.bucket(BUCKET_BITS), data.contribution(data.fingerprint).wrapping_neg());
+        self.sums.keys.fetch_sub(1, Ordering::Relaxed);
+        Some(data)
+    }
+}
+
+/// Mutable access to one stored key. Dropping it reseals: the fingerprint
+/// is recomputed and, when it changed, the bucket sum moves by `new − old`
+/// in one atomic add, so a concurrent root read sees the key's old or new
+/// contribution, never a mix.
+pub(crate) struct KeyMut<'a, B: StoreBackend> {
+    data: &'a mut KeyData<B>,
+    sums: &'a DigestSums,
+}
+
+impl<B: StoreBackend> std::ops::Deref for KeyMut<'_, B> {
+    type Target = KeyData<B>;
+
+    fn deref(&self) -> &KeyData<B> {
+        self.data
+    }
+}
+
+impl<B: StoreBackend> std::ops::DerefMut for KeyMut<'_, B> {
+    fn deref_mut(&mut self) -> &mut KeyData<B> {
+        self.data
+    }
+}
+
+impl<B: StoreBackend> Drop for KeyMut<'_, B> {
+    fn drop(&mut self) {
+        let fresh = self.data.fresh_fingerprint();
+        if fresh != self.data.fingerprint {
+            let delta = self
+                .data
+                .contribution(fresh)
+                .wrapping_sub(self.data.contribution(self.data.fingerprint));
+            self.sums.add(self.data.bucket(BUCKET_BITS), delta);
+            self.data.fingerprint = fresh;
+        }
     }
 }
 
@@ -749,7 +968,7 @@ mod tests {
     fn merge_keeps_concurrent_and_evicts_dominated() {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
-        let mut data = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
+        let mut data = KeyData::<VstampBackend>::new(&backend, "k", elements[0].clone());
         let (e0, c0, _) = backend.write(&mut state, &elements[0], None);
         let outcome =
             data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"v0")), true);
@@ -779,8 +998,8 @@ mod tests {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(1);
         let (_, clock, _) = backend.write(&mut state, &elements[0], None);
-        let mut left = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
-        let mut right = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
+        let mut left = KeyData::<VstampBackend>::new(&backend, "k", elements[0].clone());
+        let mut right = KeyData::<VstampBackend>::new(&backend, "k", elements[0].clone());
         let a = stored(&backend, clock.clone(), Some(b"aaa"));
         let b = stored(&backend, clock, Some(b"zzz"));
         left.siblings.merge_version(&backend, a.clone(), false);
@@ -789,7 +1008,7 @@ mod tests {
         right.siblings.merge_version(&backend, a, false);
         assert_eq!(left.siblings.live_values(), right.siblings.live_values());
         assert_eq!(left.siblings.live_values(), vec![b"zzz".to_vec()]);
-        assert_eq!(left.fingerprint(), right.fingerprint());
+        assert_eq!(left.fresh_fingerprint(), right.fresh_fingerprint());
     }
 
     #[test]
@@ -801,7 +1020,7 @@ mod tests {
         let (_, c1, _) = backend.write(&mut state, &elements[0], None);
         let (e2, c2, _) = backend.write(&mut state, &elements[1], Some(&c1));
         assert_eq!(backend.relation(&c1, &c2), Relation::Dominated);
-        let mut data = KeyData::<VstampBackend>::new(&backend, e2);
+        let mut data = KeyData::<VstampBackend>::new(&backend, "k", e2);
         data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"new")), true);
         let outcome =
             data.siblings.merge_version(&backend, stored(&backend, c1, Some(b"old")), false);
@@ -813,7 +1032,7 @@ mod tests {
     fn cached_context_tracks_merges_and_evictions() {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
-        let mut data = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
+        let mut data = KeyData::<VstampBackend>::new(&backend, "k", elements[0].clone());
         assert!(data.siblings.matches_context(None));
         let (_, c0, _) = backend.write(&mut state, &elements[0], None);
         let (_, c1, _) = backend.write(&mut state, &elements[1], None);

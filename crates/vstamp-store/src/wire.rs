@@ -3,11 +3,18 @@
 //!
 //! The exchange is pull-based and batched:
 //!
+//! 0. with delta frames on, the requester first sends an 8-byte **probe**
+//!    of its digest root. `Ack` ends the exchange; `Miss` carries the
+//!    responder's bucket sums at a level `L` ([`encode_miss`]; empty at
+//!    `L = 0`, for replicas under 128 keys);
 //! 1. the requester sends a **digest** — one `(key, fingerprint, ctx_fp)`
 //!    triple per key it holds, where the fingerprint hashes the sibling
 //!    clock set and the element's knowledge, and `ctx_fp` is the sibling
 //!    set's own order-independent hash (the context fingerprint delta
-//!    frames are gated on);
+//!    frames are gated on). After a `Miss` with sums it lists only the
+//!    keys of the buckets whose sums differ and appends a [`BucketMask`]
+//!    trailer ([`encode_digest_scoped`]); the responder then answers for
+//!    those buckets alone;
 //! 2. the responder answers with a **delta** — for every key whose
 //!    fingerprint differs (or which the requester lacks), the responder's
 //!    freshly-forked element plus its full sibling set. Each version rides
@@ -158,15 +165,17 @@ impl<B: StoreBackend> PartialEq for WireKeyDelta<B> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
     /// An O(1) convergence probe (payload: the requester's digest root —
-    /// a hash over its sorted per-key fingerprints). Answered with
+    /// a hash over its maintained bucket sums). Answered with
     /// [`MessageKind::Ack`] when the responder's root matches (nothing to
     /// exchange) or [`MessageKind::Miss`] when it does not.
     Probe,
     /// A probe hit: the peers' digest roots match, the exchange is over.
     Ack,
-    /// A probe miss: the requester should follow up with its full digest.
+    /// A probe miss (payload: the responder's bucket sums, see
+    /// [`encode_miss`]): the requester follows up with its digest.
     Miss,
-    /// A digest request (payload: encoded digest entries).
+    /// A digest request (payload: encoded digest entries, optionally
+    /// followed by a bucket-mask trailer, see [`encode_digest_scoped`]).
     Digest,
     /// A delta response (payload: encoded key deltas).
     Delta,
@@ -362,6 +371,102 @@ pub fn decode_probe(bytes: &[u8]) -> Result<u64, DecodeError> {
     Ok(u64::from_le_bytes(root))
 }
 
+/// Finest bucket level of a scoped exchange: `2^8` buckets, the resolution
+/// every data plane maintains. A `Miss` or digest trailer claiming more is
+/// malformed.
+pub const MAX_BUCKET_LEVEL: u8 = 8;
+
+/// Encodes a probe-miss payload: empty at level 0 (the requester sends its
+/// full digest), else `[level][2^level × u64 LE]` — the responder's bucket
+/// sums folded to `level`.
+#[must_use]
+pub fn encode_miss(level: u8, sums: &[u64]) -> Vec<u8> {
+    if level == 0 {
+        return Vec::new();
+    }
+    debug_assert_eq!(sums.len(), 1 << level);
+    let mut out = Vec::with_capacity(1 + 8 * sums.len());
+    out.push(level);
+    for sum in sums {
+        out.extend_from_slice(&sum.to_le_bytes());
+    }
+    out
+}
+
+/// Decodes a probe-miss payload into its level and bucket sums (level 0
+/// and no sums for an empty payload). The level is checked before
+/// anything is allocated, so a peer can never make this hold more than
+/// `2^8` sums.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for a level of 0 or above
+/// [`MAX_BUCKET_LEVEL`], or a length other than `1 + 8 · 2^level`.
+pub fn decode_miss(bytes: &[u8]) -> Result<(u8, Vec<u64>), DecodeError> {
+    let Some((&level, sums)) = bytes.split_first() else { return Ok((0, Vec::new())) };
+    if level == 0 || level > MAX_BUCKET_LEVEL {
+        return Err(DecodeError::Malformed("miss bucket level out of range"));
+    }
+    if sums.len() != 8 << level {
+        return Err(DecodeError::Malformed("miss holds the wrong number of bucket sums"));
+    }
+    let sums = sums
+        .chunks_exact(8)
+        .map(|sum| u64::from_le_bytes(sum.try_into().expect("chunks of 8")))
+        .collect();
+    Ok((level, sums))
+}
+
+/// A set of digest buckets at one level (`1..=`[`MAX_BUCKET_LEVEL`]): the
+/// scope of a digest that lists only the keys of buckets whose sums
+/// differ. Bucket `i` is bit `i % 8` of byte `i / 8`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BucketMask {
+    level: u8,
+    bits: Vec<u8>,
+}
+
+impl BucketMask {
+    /// The empty mask at `level`.
+    ///
+    /// # Panics
+    ///
+    /// If `level` is 0 or above [`MAX_BUCKET_LEVEL`].
+    #[must_use]
+    pub fn empty(level: u8) -> Self {
+        assert!((1..=MAX_BUCKET_LEVEL).contains(&level), "bucket level {level} out of range");
+        BucketMask { level, bits: vec![0; mask_len(level)] }
+    }
+
+    /// The mask's bucket level.
+    #[must_use]
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
+    /// Adds bucket `bucket` (below `2^level`).
+    pub fn insert(&mut self, bucket: usize) {
+        self.bits[bucket / 8] |= 1 << (bucket % 8);
+    }
+
+    /// Whether bucket `bucket` is in the mask.
+    #[must_use]
+    pub fn contains(&self, bucket: usize) -> bool {
+        self.bits.get(bucket / 8).is_some_and(|byte| byte & (1 << (bucket % 8)) != 0)
+    }
+
+    /// Whether no bucket is in the mask.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|&byte| byte == 0)
+    }
+}
+
+/// Bytes of a bucket mask at `level`: `⌈2^level / 8⌉`.
+fn mask_len(level: u8) -> usize {
+    (1usize << level).div_ceil(8)
+}
+
 /// Encodes a digest message payload.
 #[must_use]
 pub fn encode_digest(entries: &[DigestEntry]) -> Vec<u8> {
@@ -375,12 +480,62 @@ pub fn encode_digest(entries: &[DigestEntry]) -> Vec<u8> {
     out
 }
 
+/// Encodes a digest scoped to `scope`'s buckets: the [`encode_digest`]
+/// bytes followed by the trailer `[level][mask]`. Without a scope it is
+/// exactly [`encode_digest`] — a full digest.
+#[must_use]
+pub fn encode_digest_scoped(entries: &[DigestEntry], scope: Option<&BucketMask>) -> Vec<u8> {
+    let mut out = encode_digest(entries);
+    if let Some(mask) = scope {
+        out.push(mask.level);
+        out.extend_from_slice(&mask.bits);
+    }
+    out
+}
+
 /// Decodes a digest message payload.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncated or malformed input.
+/// Returns a [`DecodeError`] on truncated or malformed input, or on bytes
+/// after the last entry.
 pub fn decode_digest(bytes: &[u8]) -> Result<Vec<DigestEntry>, DecodeError> {
+    let (entries, rest) = decode_digest_prefix(bytes)?;
+    if !rest.is_empty() {
+        return Err(DecodeError::TrailingData);
+    }
+    Ok(entries)
+}
+
+/// Decodes a digest that may carry a bucket-mask trailer (see
+/// [`encode_digest_scoped`]); no trailer means a full digest.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on a malformed digest, a trailer level of 0
+/// or above [`MAX_BUCKET_LEVEL`], a mask of the wrong length, or mask bits
+/// set beyond bucket `2^level − 1`.
+pub fn decode_digest_scoped(
+    bytes: &[u8],
+) -> Result<(Vec<DigestEntry>, Option<BucketMask>), DecodeError> {
+    let (entries, rest) = decode_digest_prefix(bytes)?;
+    let Some((&level, bits)) = rest.split_first() else { return Ok((entries, None)) };
+    if level == 0 || level > MAX_BUCKET_LEVEL {
+        return Err(DecodeError::Malformed("digest trailer level out of range"));
+    }
+    if bits.len() != mask_len(level) {
+        return Err(DecodeError::Malformed("digest trailer mask has the wrong length"));
+    }
+    // Levels below 3 use only the low 2^level bits of the single byte.
+    if level < 3 && bits[0] >> (1 << level) != 0 {
+        return Err(DecodeError::Malformed("digest trailer marks a bucket beyond its level"));
+    }
+    Ok((entries, Some(BucketMask { level, bits: bits.to_vec() })))
+}
+
+/// Decodes the entries of a digest payload, returning the bytes after the
+/// last one.
+fn decode_digest_prefix(bytes: &[u8]) -> Result<(Vec<DigestEntry>, &[u8]), DecodeError> {
     let mut input = bytes;
     let count = read_varint(&mut input)?;
     let mut entries = Vec::with_capacity(count.min(1 << 16) as usize);
@@ -397,10 +552,7 @@ pub fn decode_digest(bytes: &[u8]) -> Result<Vec<DigestEntry>, DecodeError> {
         let ctx_fp = u64::from_le_bytes(fp_bytes.try_into().expect("split_at(8) yields 8"));
         entries.push(DigestEntry { key, fingerprint, ctx_fp });
     }
-    if !input.is_empty() {
-        return Err(DecodeError::TrailingData);
-    }
-    Ok(entries)
+    Ok((entries, input))
 }
 
 /// Encodes a NAK payload: the keys whose delta frames missed.
@@ -600,6 +752,31 @@ mod tests {
         trailing.push(9);
         assert_eq!(decode_digest(&trailing), Err(DecodeError::TrailingData));
         assert_eq!(decode_digest(&[]), Err(DecodeError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn miss_and_scoped_digest_roundtrip_and_rejections() {
+        assert_eq!(encode_miss(0, &[7]), Vec::<u8>::new());
+        assert_eq!(decode_miss(&[]), Ok((0, Vec::new())));
+        let sums: Vec<u64> = (0..32).map(|i| i * 0x0101_0101_0101).collect();
+        let bytes = encode_miss(5, &sums);
+        assert_eq!(bytes.len(), 1 + 8 * 32);
+        assert_eq!(decode_miss(&bytes), Ok((5, sums)));
+        assert!(decode_miss(&bytes[..bytes.len() - 1]).is_err());
+
+        let entries = vec![DigestEntry { key: "k".into(), fingerprint: 3, ctx_fp: 4 }];
+        assert_eq!(encode_digest_scoped(&entries, None), encode_digest(&entries));
+        assert_eq!(decode_digest_scoped(&encode_digest(&entries)), Ok((entries.clone(), None)));
+        let mut mask = BucketMask::empty(4);
+        assert!(mask.is_empty());
+        mask.insert(0);
+        mask.insert(13);
+        assert!(mask.contains(13) && !mask.contains(12) && !mask.contains(16));
+        let bytes = encode_digest_scoped(&entries, Some(&mask));
+        assert_eq!(bytes.len(), encode_digest(&entries).len() + 3);
+        assert_eq!(decode_digest_scoped(&bytes), Ok((entries, Some(mask))));
+        // The plain decoder still treats a trailer as trailing data.
+        assert_eq!(decode_digest(&bytes), Err(DecodeError::TrailingData));
     }
 
     #[test]
