@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -264,7 +264,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut dotted = Configuration::new(DottedMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         dotted.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         for (a, b, relation) in stamps.pairwise_relations() {

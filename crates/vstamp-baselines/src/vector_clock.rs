@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(2)),
@@ -240,7 +240,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut clocks = Configuration::new(VectorClockMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         clocks.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         for (a, b, relation) in stamps.pairwise_relations() {

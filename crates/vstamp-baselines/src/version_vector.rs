@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -387,7 +387,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut vv = Configuration::new(FixedVersionVectorMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         vv.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         assert_eq!(vv.ids(), stamps.ids());

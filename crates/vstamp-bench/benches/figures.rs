@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use vstamp_baselines::FixedVersionVectorMechanism;
 use vstamp_core::causal::CausalMechanism;
-use vstamp_core::TreeStampMechanism;
+use vstamp_core::VersionStampMechanism;
 use vstamp_sim::scenario::{figure1, figure2, stamp_walkthrough};
 
 fn bench_figures(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| fig1.replay(FixedVersionVectorMechanism::new()))
     });
     c.bench_function("figure1/version-stamps", |b| {
-        b.iter(|| fig1.replay(TreeStampMechanism::reducing()))
+        b.iter(|| fig1.replay(VersionStampMechanism::reducing()))
     });
     c.bench_function("figure2/causal-histories", |b| {
         b.iter(|| fig2.replay(CausalMechanism::new()))

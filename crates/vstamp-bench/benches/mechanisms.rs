@@ -8,7 +8,7 @@ use vstamp_baselines::{
     VectorClockMechanism,
 };
 use vstamp_core::causal::CausalMechanism;
-use vstamp_core::{Configuration, Mechanism, Trace, TreeStampMechanism};
+use vstamp_core::{Configuration, Mechanism, Trace, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
 
@@ -29,7 +29,7 @@ fn bench_replay(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_with_input(BenchmarkId::from_parameter("version-stamps"), &trace, |b, t| {
-        b.iter(|| replay(TreeStampMechanism::reducing(), t))
+        b.iter(|| replay(VersionStampMechanism::reducing(), t))
     });
     group.bench_with_input(BenchmarkId::from_parameter("version-stamps-packed"), &trace, |b, t| {
         b.iter(|| replay(vstamp_core::PackedStampMechanism::reducing(), t))
@@ -43,7 +43,7 @@ fn bench_replay(c: &mut Criterion) {
             vstamp_bench::NON_REDUCING_OPS
         )),
         &nonreducing_prefix,
-        |b, t| b.iter(|| replay(TreeStampMechanism::non_reducing(), t)),
+        |b, t| b.iter(|| replay(VersionStampMechanism::non_reducing(), t)),
     );
     group.bench_with_input(BenchmarkId::from_parameter("version-vectors"), &trace, |b, t| {
         b.iter(|| replay(FixedVersionVectorMechanism::new(), t))

@@ -1,17 +1,20 @@
 //! Machine-readable representation-ablation benchmark: times `leq`, `join`,
-//! `append` and `reduce_pair` for the set / boxed-tree / packed name
-//! representations over wide names and deep fork chains, and writes the
-//! results (plus packed-vs-tree speedups) to `BENCH_repr.json`.
+//! `append` and `reduce_pair` for the set (oracle) and packed (production)
+//! name representations over wide names, deep fork chains and deep
+//! frontiers, and writes the results (plus packed-vs-set speedups and the
+//! run's provenance) to `BENCH_repr.json`.
 //!
 //! Run with `cargo run --release -p vstamp-bench --bin bench_repr_json`.
 //! The measurement model is the vendored criterion harness: calibrated
 //! batches, median of `SAMPLES` samples.
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use criterion::{measure, Measurement};
 use vstamp_bench::{deep_chain_pair, wide_name};
-use vstamp_core::{Bit, Name, NameTree, PackedName};
+use vstamp_core::simplify::reduce_name_pair;
+use vstamp_core::{Bit, Name, PackedName};
 
 const SAMPLES: usize = 15;
 
@@ -36,20 +39,28 @@ fn time<F: FnMut()>(
     rows.push(Row { scenario, op, repr, param, m });
 }
 
-fn bench_triple(rows: &mut Vec<Row>, scenario: &'static str, param: usize, a: &Name, b: &Name) {
-    let (ta, tb) = (NameTree::from_name(a), NameTree::from_name(b));
+/// The commit the running binary was built from, for artifact provenance:
+/// `git describe --always --dirty` in the working directory, or `unknown`
+/// outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |rev| rev.trim().to_owned())
+}
+
+fn bench_pair(rows: &mut Vec<Row>, scenario: &'static str, param: usize, a: &Name, b: &Name) {
     let (pa, pb) = (PackedName::from_name(a), PackedName::from_name(b));
     // `x ⊑ x ⊔ y` holds, so the order test walks both structures fully —
     // the honest worst case, identical across representations.
     let joined_n = a.join(b);
-    let joined_t = ta.join(&tb);
     let joined_p = pa.join(&pb);
 
     time(rows, scenario, "leq", "set", param, || {
         std::hint::black_box(a.leq(&joined_n));
-    });
-    time(rows, scenario, "leq", "tree", param, || {
-        std::hint::black_box(ta.leq(&joined_t));
     });
     time(rows, scenario, "leq", "packed", param, || {
         std::hint::black_box(pa.leq(&joined_p));
@@ -57,20 +68,17 @@ fn bench_triple(rows: &mut Vec<Row>, scenario: &'static str, param: usize, a: &N
     time(rows, scenario, "join", "set", param, || {
         std::hint::black_box(a.join(b));
     });
-    time(rows, scenario, "join", "tree", param, || {
-        std::hint::black_box(ta.join(&tb));
-    });
     time(rows, scenario, "join", "packed", param, || {
         std::hint::black_box(pa.join(&pb));
     });
-    time(rows, scenario, "append", "tree", param, || {
-        std::hint::black_box(ta.append(Bit::Zero));
+    time(rows, scenario, "append", "set", param, || {
+        std::hint::black_box(a.append(Bit::Zero));
     });
     time(rows, scenario, "append", "packed", param, || {
         std::hint::black_box(pa.append(Bit::Zero));
     });
-    time(rows, scenario, "reduce", "tree", param, || {
-        std::hint::black_box(NameTree::reduce_pair(&joined_t, &joined_t));
+    time(rows, scenario, "reduce", "set", param, || {
+        std::hint::black_box(reduce_name_pair(&joined_n, &joined_n));
     });
     time(rows, scenario, "reduce", "packed", param, || {
         std::hint::black_box(PackedName::reduce_pair(&joined_p, &joined_p));
@@ -78,6 +86,7 @@ fn bench_triple(rows: &mut Vec<Row>, scenario: &'static str, param: usize, a: &N
 }
 
 fn main() {
+    let started = Instant::now();
     let mut rows = Vec::new();
     // VSTAMP_BENCH_SMOKE=1 (the CI smoke job) keeps one small cell per
     // scenario so the binary finishes in seconds while still exercising
@@ -88,26 +97,32 @@ fn main() {
     for &strings in wide_grid {
         let a = wide_name(strings, 14, 0x2545_F491_4F6C_DD1D);
         let b = wide_name(strings, 14, 0x9E37_79B9_7F4A_7C15);
-        bench_triple(&mut rows, "wide", strings, &a, &b);
+        bench_pair(&mut rows, "wide", strings, &a, &b);
     }
     let chain_grid: &[usize] = if smoke { &[64] } else { &[64, 128, 256] };
     for &depth in chain_grid {
         let (a, b) = deep_chain_pair(depth);
-        bench_triple(&mut rows, "deep-fork-chain", depth, &a, &b);
+        bench_pair(&mut rows, "deep-fork-chain", depth, &a, &b);
     }
     // Wide frontier at fork-depth 64: thousands of depth-64 strings, the
     // identity sizes long partition/heal workloads actually reach. This is
-    // the regime where the 2-bit tag array stays cache-resident while the
-    // boxed trie does not.
+    // the regime where the 2-bit tag array's cache residency matters most.
     let frontier_grid: &[usize] = if smoke { &[256] } else { &[1024, 4096] };
     for &strings in frontier_grid {
         let a = wide_name(strings, 64, 0x2545_F491_4F6C_DD1D);
         let b = wide_name(strings, 64, 0x9E37_79B9_7F4A_7C15);
-        bench_triple(&mut rows, "deep-frontier", strings, &a, &b);
+        bench_pair(&mut rows, "deep-frontier", strings, &a, &b);
     }
 
     // Render JSON by hand (no serde in the offline environment).
-    let mut json = String::from("{\n  \"benchmark\": \"repr-ablation\",\n  \"unit\": \"ns per iteration (median)\",\n  \"results\": [\n");
+    let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut json = String::from("{\n  \"benchmark\": \"repr-ablation\",\n");
+    writeln!(json, "  \"git_rev\": \"{}\",", git_rev()).expect("writing to a String cannot fail");
+    writeln!(json, "  \"host_cpus\": {host_cpus},").expect("writing to a String cannot fail");
+    writeln!(json, "  \"smoke\": {smoke},").expect("writing to a String cannot fail");
+    writeln!(json, "  \"duration_secs\": {:.1},", started.elapsed().as_secs_f64())
+        .expect("writing to a String cannot fail");
+    json.push_str("  \"unit\": \"ns per iteration (median)\",\n  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         writeln!(
@@ -117,10 +132,10 @@ fn main() {
         )
         .expect("writing to a String cannot fail");
     }
-    json.push_str("  ],\n  \"speedups_packed_vs_tree\": [\n");
+    json.push_str("  ],\n  \"speedups_packed_vs_set\": [\n");
 
     let mut speedups = Vec::new();
-    for row in rows.iter().filter(|r| r.repr == "tree") {
+    for row in rows.iter().filter(|r| r.repr == "set") {
         if let Some(packed) = rows.iter().find(|r| {
             r.repr == "packed"
                 && r.scenario == row.scenario
@@ -143,6 +158,6 @@ fn main() {
     std::fs::write("BENCH_repr.json", &json).expect("write BENCH_repr.json");
     println!("\nwrote BENCH_repr.json");
     for (scenario, op, param, speedup) in &speedups {
-        println!("speedup packed vs tree: {scenario}/{op}/{param} = {speedup:.2}x");
+        println!("speedup packed vs set: {scenario}/{op}/{param} = {speedup:.2}x");
     }
 }

@@ -3,7 +3,7 @@
 
 use vstamp_baselines::FixedVersionVectorMechanism;
 use vstamp_bench::{header, render_final_relations};
-use vstamp_core::TreeStampMechanism;
+use vstamp_core::VersionStampMechanism;
 use vstamp_sim::scenario::{figure1, figure1_version_vectors, verify_figure1_relations};
 
 fn main() {
@@ -26,12 +26,12 @@ fn main() {
     }
 
     header("same trace under version stamps (no global identifiers used)");
-    for line in render_final_relations(TreeStampMechanism::reducing(), &scenario.trace) {
+    for line in render_final_relations(VersionStampMechanism::reducing(), &scenario.trace) {
         println!("  {line}");
     }
 
     match verify_figure1_relations(FixedVersionVectorMechanism::new())
-        .and_then(|()| verify_figure1_relations(TreeStampMechanism::reducing()))
+        .and_then(|()| verify_figure1_relations(VersionStampMechanism::reducing()))
     {
         Ok(()) => println!("\nRESULT: relations match the paper's Figure 1 for both mechanisms."),
         Err(e) => println!("\nRESULT: MISMATCH — {e}"),

@@ -4,7 +4,7 @@
 //! back together (Section 6).
 
 use vstamp_bench::header;
-use vstamp_core::{Configuration, Operation, TreeStampMechanism};
+use vstamp_core::{Configuration, Operation, VersionStampMechanism};
 use vstamp_sim::scenario::{figure4, stamp_walkthrough};
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
     }
 
     header("joining the frontier back (simplification of Section 6)");
-    let mut reducing = scenario.replay(TreeStampMechanism::reducing());
-    let mut plain: Configuration<_> = scenario.replay(TreeStampMechanism::non_reducing());
+    let mut reducing = scenario.replay(VersionStampMechanism::reducing());
+    let mut plain: Configuration<_> = scenario.replay(VersionStampMechanism::non_reducing());
     while reducing.len() > 1 {
         let ids = reducing.ids();
         let op = Operation::Join(ids[0], ids[1]);

@@ -3,8 +3,8 @@
 
 use vstamp_bench::{header, non_reducing_ops, seed_from_args};
 use vstamp_core::{
-    audit_configuration, Configuration, Mechanism, NameLike, PackedName, Reduction, Stamp,
-    StampMechanism, Trace, VersionStampMechanism,
+    audit_configuration, Configuration, Mechanism, NameLike, Stamp, StampMechanism, Trace,
+    VersionStampMechanism,
 };
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
 
@@ -58,9 +58,11 @@ fn main() {
             // reducing sweep instead of auditing all 400 configurations.
             let audit_stride = if reducing { 8 } else { 1 };
             let trace = generate(&WorkloadSpec::new(ops, 8, seed).with_mix(mix));
-            let flag = if reducing { Reduction::Reducing } else { Reduction::NonReducing };
-            let mechanism = StampMechanism::<PackedName>::with_reduction(flag);
-            let (audited, violations) = audit_run(mechanism, &trace, audit_stride);
+            let (audited, violations) = if reducing {
+                audit_run(VersionStampMechanism::reducing(), &trace, audit_stride)
+            } else {
+                audit_run(VersionStampMechanism::non_reducing(), &trace, audit_stride)
+            };
             println!(
                 "  {label:<13} {name:<13}: {audited} configurations audited, {violations} violations"
             );

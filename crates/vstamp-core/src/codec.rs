@@ -15,7 +15,7 @@
 //!   payload layout is exactly the in-memory tag array of
 //!   [`PackedName`](crate::PackedName), so decoding into the workspace's
 //!   default representation is a validated memcpy — no bit reader, no
-//!   `NameTree` round-trip. This is the format replication traffic uses
+//!   intermediate trie. This is the format replication traffic uses
 //!   (see [`write_frame`]/[`read_frame`] for message framing and the
 //!   `vstamp-store` anti-entropy protocol built on them).
 //!
@@ -417,8 +417,7 @@ mod tests {
     use super::*;
     use crate::name::Name;
     use crate::packed::PackedName;
-    use crate::stamp::{SetStamp, TreeStamp, VersionStamp};
-    use crate::tree::NameTree;
+    use crate::stamp::{SetStamp, VersionStamp};
 
     const SAMPLES: &[&str] = &[
         "{}",
@@ -445,10 +444,8 @@ mod tests {
     #[test]
     fn both_codecs_roundtrip_every_representation() {
         roundtrip_names::<Name, _>(&BitTrieCodec);
-        roundtrip_names::<NameTree, _>(&BitTrieCodec);
         roundtrip_names::<PackedName, _>(&BitTrieCodec);
         roundtrip_names::<Name, _>(&VarintCodec);
-        roundtrip_names::<NameTree, _>(&VarintCodec);
         roundtrip_names::<PackedName, _>(&VarintCodec);
     }
 
@@ -457,10 +454,8 @@ mod tests {
         for lit in SAMPLES {
             let name: Name = lit.parse().unwrap();
             let packed = PackedName::from_name(&name);
-            let tree = NameTree::from_name(&name);
-            let expected = crate::encode::encode_tree(&tree);
+            let expected = crate::encode::encode_name(&name);
             assert_eq!(StampCodec::<PackedName>::encode_name(&BitTrieCodec, &packed), expected);
-            assert_eq!(StampCodec::<NameTree>::encode_name(&BitTrieCodec, &tree), expected);
             assert_eq!(StampCodec::<Name>::encode_name(&BitTrieCodec, &name), expected);
         }
         let (a, b) = VersionStamp::seed().fork();
@@ -479,10 +474,9 @@ mod tests {
             assert_eq!(BitTrieCodec.decode_stamp(&bits).unwrap(), stamp);
             let frames = VarintCodec.encode_stamp(&stamp);
             assert_eq!(VarintCodec.decode_stamp(&frames).unwrap(), stamp);
-            let tree: TreeStamp = stamp.clone().into();
-            assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&tree)).unwrap(), tree);
             let set: SetStamp = stamp.clone().into();
             assert_eq!(BitTrieCodec.decode_stamp(&BitTrieCodec.encode_stamp(&set)).unwrap(), set);
+            assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&set)).unwrap(), set);
         }
     }
 

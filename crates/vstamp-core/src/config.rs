@@ -200,9 +200,9 @@ impl Applied {
 /// # Examples
 ///
 /// ```
-/// use vstamp_core::{Configuration, Operation, Relation, TreeStampMechanism};
+/// use vstamp_core::{Configuration, Operation, Relation, VersionStampMechanism};
 ///
-/// let mut config = Configuration::new(TreeStampMechanism::reducing());
+/// let mut config = Configuration::new(VersionStampMechanism::reducing());
 /// let root = config.ids()[0];
 /// let (a, b) = match config.apply(Operation::Fork(root))? {
 ///     vstamp_core::Applied::Forked(a, b) => (a, b),
@@ -395,7 +395,7 @@ impl<M: Mechanism> Configuration<M> {
 mod tests {
     use super::*;
     use crate::causal::CausalMechanism;
-    use crate::mechanism::{StampMechanism, TreeStampMechanism};
+    use crate::mechanism::{StampMechanism, VersionStampMechanism};
 
     fn fork_ids(applied: Applied) -> (ElementId, ElementId) {
         match applied {
@@ -406,20 +406,20 @@ mod tests {
 
     #[test]
     fn initial_configuration_has_one_element() {
-        let config = Configuration::new(TreeStampMechanism::reducing());
+        let config = Configuration::new(VersionStampMechanism::reducing());
         assert_eq!(config.len(), 1);
         assert!(!config.is_empty());
         assert_eq!(config.ids(), vec![ElementId::new(0)]);
         assert!(config.contains(ElementId::new(0)));
         assert!(config.get(ElementId::new(0)).is_some());
         assert_eq!(config.iter().count(), 1);
-        assert_eq!(config.mechanism().mechanism_name(), "version-stamps-tree");
+        assert_eq!(config.mechanism().mechanism_name(), "version-stamps");
     }
 
     #[test]
     fn element_id_allocation_is_deterministic() {
         let build = || {
-            let mut config = Configuration::new(TreeStampMechanism::reducing());
+            let mut config = Configuration::new(VersionStampMechanism::reducing());
             let root = config.ids()[0];
             let (a, b) = fork_ids(config.apply(Operation::Fork(root)).unwrap());
             config.apply(Operation::Update(a)).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(build(), build());
 
         // and identical across mechanisms
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         let mut causal = Configuration::new(CausalMechanism::new());
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn update_replaces_element() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let root = config.ids()[0];
         let applied = config.apply(Operation::Update(root)).unwrap();
         assert!(matches!(applied, Applied::Updated(_)));
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn fork_and_join_change_frontier_width() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let root = config.ids()[0];
         let (a, b) = fork_ids(config.apply(Operation::Fork(root)).unwrap());
         assert_eq!(config.len(), 2);
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn errors_on_unknown_and_self_join() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let root = config.ids()[0];
         let missing = ElementId::new(99);
         assert_eq!(
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn relations_and_sizes_over_a_small_run() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let root = config.ids()[0];
         let (a, b) = fork_ids(config.apply(Operation::Fork(root)).unwrap());
         let updated = match config.apply(Operation::Update(a)).unwrap() {
@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn apply_trace_stops_on_error() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let trace: Trace =
             [Operation::Fork(ElementId::new(0)), Operation::Update(ElementId::new(42))]
                 .into_iter()
@@ -569,7 +569,7 @@ mod tests {
         .into_iter()
         .collect();
 
-        let mut stamps = Configuration::new(StampMechanism::<crate::NameTree>::reducing());
+        let mut stamps = Configuration::new(StampMechanism::<crate::Name>::reducing());
         let mut causal = Configuration::new(CausalMechanism::new());
         stamps.apply_trace(&trace).unwrap();
         causal.apply_trace(&trace).unwrap();

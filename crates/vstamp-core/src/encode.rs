@@ -5,7 +5,8 @@
 //! format used by the space experiments (E7/E9) and by applications that
 //! ship stamps between replicas (the PANASYNC-style file tracker).
 //!
-//! The encoding works on the trie representation and spends:
+//! The encoding is a preorder walk of the name's canonical binary trie (a
+//! node per string prefix, the element strings at its leaves) and spends:
 //!
 //! * 1 bit for `Empty` (`0`),
 //! * 2 bits for `Elem` (`10`),
@@ -32,8 +33,7 @@ use crate::bitstring::Bit;
 use crate::error::DecodeError;
 use crate::name::Name;
 use crate::packed::PackedName;
-use crate::stamp::{PackedStamp, TreeStamp, VersionStamp};
-use crate::tree::NameTree;
+use crate::stamp::{PackedStamp, VersionStamp};
 
 /// Append-only bit buffer used by the encoder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -130,59 +130,10 @@ impl<'a> BitReader<'a> {
     }
 }
 
-fn write_tree(tree: &NameTree, writer: &mut BitWriter) {
-    match tree {
-        NameTree::Empty => writer.push(Bit::Zero),
-        NameTree::Elem => {
-            writer.push(Bit::One);
-            writer.push(Bit::Zero);
-        }
-        NameTree::Node(zero, one) => {
-            writer.push(Bit::One);
-            writer.push(Bit::One);
-            write_tree(zero, writer);
-            write_tree(one, writer);
-        }
-    }
-}
-
-fn read_tree(reader: &mut BitReader<'_>) -> Result<NameTree, DecodeError> {
-    match reader.read()? {
-        Bit::Zero => Ok(NameTree::Empty),
-        Bit::One => match reader.read()? {
-            Bit::Zero => Ok(NameTree::Elem),
-            Bit::One => {
-                let zero = read_tree(reader)?;
-                let one = read_tree(reader)?;
-                if zero.is_empty() && one.is_empty() {
-                    return Err(DecodeError::Malformed("interior node with two empty children"));
-                }
-                Ok(NameTree::Node(Box::new(zero), Box::new(one)))
-            }
-        },
-    }
-}
-
-/// Number of bits the encoding of a tree occupies.
-#[must_use]
-pub fn encoded_tree_bits(tree: &NameTree) -> usize {
-    match tree {
-        NameTree::Empty => 1,
-        NameTree::Elem => 2,
-        NameTree::Node(zero, one) => 2 + encoded_tree_bits(zero) + encoded_tree_bits(one),
-    }
-}
-
 /// Number of bits the encoding of a stamp occupies (update plus id).
 #[must_use]
 pub fn encoded_stamp_bits(stamp: &VersionStamp) -> usize {
     stamp.encoded_bits()
-}
-
-/// Number of bits the encoding of a tree-backed stamp occupies.
-#[must_use]
-pub fn encoded_tree_stamp_bits(stamp: &TreeStamp) -> usize {
-    encoded_tree_bits(stamp.update_name()) + encoded_tree_bits(stamp.id_name())
 }
 
 /// Number of bits the encoding of a name occupies, computed directly from
@@ -216,26 +167,6 @@ pub fn encoded_name_bits(name: &Name) -> usize {
     bits
 }
 
-/// Encodes a name tree into packed bytes.
-#[must_use]
-pub fn encode_tree(tree: &NameTree) -> Vec<u8> {
-    let mut writer = BitWriter::new();
-    write_tree(tree, &mut writer);
-    writer.into_bytes()
-}
-
-/// Decodes a name tree from packed bytes produced by [`encode_tree`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated, malformed or trailing input.
-pub fn decode_tree(bytes: &[u8]) -> Result<NameTree, DecodeError> {
-    let mut reader = BitReader::new(bytes);
-    let tree = read_tree(&mut reader)?;
-    reader.finish()?;
-    Ok(tree)
-}
-
 /// Number of bits the encoding of a packed name occupies — O(n) over the
 /// tag array, no tree walk.
 #[must_use]
@@ -250,7 +181,7 @@ pub fn encoded_packed_stamp_bits(stamp: &PackedStamp) -> usize {
 }
 
 /// Encodes a packed name into packed bytes. The output is byte-for-byte
-/// identical to [`encode_tree`] on the equivalent trie.
+/// identical to [`encode_name`] on the equivalent antichain.
 ///
 /// Since the codec-seam refactor this delegates to
 /// [`BitTrieCodec`](crate::codec::BitTrieCodec); it is kept as the
@@ -261,7 +192,7 @@ pub fn encode_packed(name: &PackedName) -> Vec<u8> {
 }
 
 /// Decodes a packed name from bytes produced by [`encode_packed`] (or
-/// [`encode_tree`] — the format is shared).
+/// [`encode_name`] — the format is shared).
 ///
 /// # Errors
 ///
@@ -288,10 +219,10 @@ pub fn decode_packed_stamp(bytes: &[u8]) -> Result<PackedStamp, DecodeError> {
     crate::codec::StampCodec::<PackedName>::decode_stamp(&crate::codec::BitTrieCodec, bytes)
 }
 
-/// Encodes a name into packed bytes (via its trie form).
+/// Encodes a name into packed bytes (via its packed form).
 #[must_use]
 pub fn encode_name(name: &Name) -> Vec<u8> {
-    encode_tree(&NameTree::from_name(name))
+    encode_packed(&PackedName::from_name(name))
 }
 
 /// Decodes a name from packed bytes produced by [`encode_name`].
@@ -300,7 +231,7 @@ pub fn encode_name(name: &Name) -> Vec<u8> {
 ///
 /// Returns a [`DecodeError`] on truncated, malformed or trailing input.
 pub fn decode_name(bytes: &[u8]) -> Result<Name, DecodeError> {
-    Ok(decode_tree(bytes)?.to_name())
+    Ok(decode_packed(bytes)?.to_name())
 }
 
 /// Encodes a stamp (update then id) into packed bytes.
@@ -320,39 +251,13 @@ pub fn decode_stamp(bytes: &[u8]) -> Result<VersionStamp, DecodeError> {
     decode_packed_stamp(bytes)
 }
 
-/// Encodes a tree-backed stamp (update then id) into packed bytes; the
-/// wire format is identical to [`encode_stamp`] on the equivalent stamp.
-#[must_use]
-pub fn encode_tree_stamp(stamp: &TreeStamp) -> Vec<u8> {
-    let mut writer = BitWriter::new();
-    write_tree(stamp.update_name(), &mut writer);
-    write_tree(stamp.id_name(), &mut writer);
-    writer.into_bytes()
-}
-
-/// Decodes a tree-backed stamp from packed bytes produced by
-/// [`encode_tree_stamp`] (or [`encode_stamp`]).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated, malformed or trailing input, or
-/// when the decoded pair violates the stamp well-formedness conditions
-/// (empty id or Invariant I1).
-pub fn decode_tree_stamp(bytes: &[u8]) -> Result<TreeStamp, DecodeError> {
-    let mut reader = BitReader::new(bytes);
-    let update = read_tree(&mut reader)?;
-    let id = read_tree(&mut reader)?;
-    reader.finish()?;
-    TreeStamp::from_parts(update, id)
-        .map_err(|_| DecodeError::Malformed("decoded pair is not a valid stamp"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{BitTrieCodec, StampCodec};
     use crate::stamp::Stamp;
 
-    fn tree(s: &str) -> NameTree {
+    fn name(s: &str) -> Name {
         s.parse().expect("valid name literal")
     }
 
@@ -370,23 +275,15 @@ mod tests {
     ];
 
     #[test]
-    fn tree_roundtrip() {
-        for lit in SAMPLES {
-            let t = tree(lit);
-            let bytes = encode_tree(&t);
-            let decoded = decode_tree(&bytes).unwrap();
-            assert_eq!(decoded, t, "roundtrip failed for {lit}");
-            assert_eq!(encoded_tree_bits(&t).div_ceil(8), bytes.len());
-        }
-    }
-
-    #[test]
     fn name_roundtrip() {
         for lit in SAMPLES {
             let n: Name = lit.parse().unwrap();
             let bytes = encode_name(&n);
-            assert_eq!(decode_name(&bytes).unwrap(), n);
-            assert_eq!(encoded_name_bits(&n), encoded_tree_bits(&NameTree::from_name(&n)));
+            assert_eq!(decode_name(&bytes).unwrap(), n, "roundtrip failed for {lit}");
+            assert_eq!(encoded_name_bits(&n).div_ceil(8), bytes.len());
+            let packed = PackedName::from_name(&n);
+            assert_eq!(encode_packed(&packed), bytes);
+            assert_eq!(encoded_packed_bits(&packed), encoded_name_bits(&n));
         }
     }
 
@@ -428,20 +325,20 @@ mod tests {
                 | Err(DecodeError::Malformed(_))
                 | Err(DecodeError::TrailingData)
         ));
-        assert_eq!(decode_tree(&[]), Err(DecodeError::UnexpectedEnd));
+        assert_eq!(decode_name(&[]), Err(DecodeError::UnexpectedEnd));
     }
 
     #[test]
     fn decode_rejects_trailing_data() {
-        let mut bytes = encode_tree(&tree("{0, 1}"));
+        let mut bytes = encode_name(&name("{0, 1}"));
         bytes.push(0xFF);
-        assert_eq!(decode_tree(&bytes), Err(DecodeError::TrailingData));
+        assert_eq!(decode_name(&bytes), Err(DecodeError::TrailingData));
 
         // set a padding bit
-        let bytes = encode_tree(&NameTree::Elem); // 2 bits used
+        let bytes = encode_name(&Name::epsilon()); // 2 bits used
         let mut corrupted = bytes.clone();
         corrupted[0] |= 0b0000_0001;
-        assert_eq!(decode_tree(&corrupted), Err(DecodeError::TrailingData));
+        assert_eq!(decode_name(&corrupted), Err(DecodeError::TrailingData));
     }
 
     #[test]
@@ -452,14 +349,11 @@ mod tests {
             writer.push(bit);
         }
         let bytes = writer.into_bytes();
-        assert!(matches!(decode_tree(&bytes), Err(DecodeError::Malformed(_))));
+        assert!(matches!(decode_name(&bytes), Err(DecodeError::Malformed(_))));
 
         // A stamp whose update exceeds its id: encode manually and reject.
-        let bad = Stamp::from_parts_unchecked(tree("{0, 1}"), tree("{0}"));
-        let mut writer = BitWriter::new();
-        write_tree(bad.update_name(), &mut writer);
-        write_tree(bad.id_name(), &mut writer);
-        let bytes = writer.into_bytes();
+        let bad = Stamp::from_parts_unchecked(name("{0, 1}"), name("{0}"));
+        let bytes = BitTrieCodec.encode_stamp(&bad);
         assert!(matches!(decode_stamp(&bytes), Err(DecodeError::Malformed(_))));
     }
 
@@ -492,9 +386,16 @@ mod tests {
 
     #[test]
     fn encoded_bits_track_tree_shape() {
-        assert_eq!(encoded_tree_bits(&NameTree::Empty), 1);
-        assert_eq!(encoded_tree_bits(&NameTree::Elem), 2);
-        assert_eq!(encoded_tree_bits(&tree("{0, 1}")), 2 + 2 + 2);
-        assert_eq!(encoded_tree_bits(&tree("{0}")), 2 + 2 + 1);
+        assert_eq!(encoded_name_bits(&Name::empty()), 1);
+        assert_eq!(encoded_name_bits(&Name::epsilon()), 2);
+        assert_eq!(encoded_name_bits(&name("{0, 1}")), 2 + 2 + 2);
+        assert_eq!(encoded_name_bits(&name("{0}")), 2 + 2 + 1);
+        // The format itself, pinned: Empty ↦ 0, Elem ↦ 10, Node ↦ 11, in
+        // preorder, zero-padded to a byte.
+        assert_eq!(encode_name(&Name::empty()), [0b0000_0000]);
+        assert_eq!(encode_name(&Name::epsilon()), [0b1000_0000]);
+        assert_eq!(encode_name(&name("{0}")), [0b1110_0000]);
+        assert_eq!(encode_name(&name("{0, 1}")), [0b1110_1000]);
+        assert_eq!(encode_name(&name("{01, 1}")), [0b1111_0101, 0b0000_0000]);
     }
 }

@@ -290,7 +290,7 @@ where
 mod tests {
     use super::*;
     use crate::config::Operation;
-    use crate::mechanism::TreeStampMechanism;
+    use crate::mechanism::VersionStampMechanism;
     use crate::stamp::{SetStamp, VersionStamp};
 
     fn name(s: &str) -> Name {
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_along_a_deterministic_run() {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let mut rng_state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..200 {
             // xorshift-style deterministic pseudo-randomness, no external rng
@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_for_non_reducing_runs_too() {
-        let mut config = Configuration::new(TreeStampMechanism::non_reducing());
+        let mut config = Configuration::new(VersionStampMechanism::non_reducing());
         let root = config.ids()[0];
         let mut outcomes = vec![root];
         // fork a few times, update everything, join everything back

@@ -40,9 +40,8 @@
 //! | Module | Paper section | Contents |
 //! |--------|---------------|----------|
 //! | [`bitstring`] | §4 | binary strings under the prefix order |
-//! | [`name`] | §4 (Def. 4.1) | names: finite antichains, `⊑`, `⊔` |
-//! | [`tree`] | §4/§6 | boxed binary-trie representation of names |
-//! | [`packed`] | §4/§6 | flat preorder tag-array representation (hot paths) |
+//! | [`name`] | §4 (Def. 4.1) | names: finite antichains, `⊑`, `⊔` (the oracle) |
+//! | [`packed`] | §4/§6 | flat preorder tag-array representation (production) |
 //! | [`stamp`] | §4 (Def. 4.3), §6 | version stamps and their operations |
 //! | [`simplify`] | §6 | the rewriting rule, normal forms, confluence helpers |
 //! | [`policy`] | §4 vs §6 | the reduction-policy seam (eager / none / deferred / GC) |
@@ -89,7 +88,6 @@ pub mod policy;
 pub mod relation;
 pub mod simplify;
 pub mod stamp;
-pub mod tree;
 
 pub use bitstring::{Bit, BitString, ParseBitStringError, PrefixOrdering};
 pub use causal::{CausalHistory, CausalMechanism, EventId};
@@ -100,15 +98,14 @@ pub use gc::{retire_identity, FrontierEvidence, FrontierGc};
 pub use invariants::{audit_configuration, audit_frontier, InvariantReport, Violation};
 pub use mechanism::{
     GcStampMechanism, Mechanism, PackedStampMechanism, SetStampMechanism, StampMechanism,
-    TreeStampMechanism, VersionStampMechanism,
+    VersionStampMechanism,
 };
 pub use name::{Name, ParseNameError};
 pub use name_like::NameLike;
 pub use packed::PackedName;
 pub use policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 pub use relation::Relation;
-pub use stamp::{PackedStamp, Reduction, SetStamp, Stamp, TreeStamp, VersionStamp};
-pub use tree::NameTree;
+pub use stamp::{PackedStamp, Reduction, SetStamp, Stamp, VersionStamp};
 
 #[cfg(test)]
 mod tests {
@@ -119,11 +116,9 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BitString>();
         assert_send_sync::<Name>();
-        assert_send_sync::<NameTree>();
         assert_send_sync::<PackedName>();
         assert_send_sync::<VersionStamp>();
         assert_send_sync::<SetStamp>();
-        assert_send_sync::<TreeStamp>();
         assert_send_sync::<PackedStamp>();
         assert_send_sync::<VersionStampMechanism>();
         assert_send_sync::<GcStampMechanism>();

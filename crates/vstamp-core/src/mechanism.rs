@@ -19,8 +19,7 @@ use crate::name_like::NameLike;
 use crate::packed::PackedName;
 use crate::policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 use crate::relation::Relation;
-use crate::stamp::{Reduction, Stamp};
-use crate::tree::NameTree;
+use crate::stamp::Stamp;
 
 /// A causality-tracking mechanism driven by fork/join/update transitions.
 ///
@@ -155,21 +154,6 @@ impl<N: NameLike> StampMechanism<N, Eager> {
     pub fn frontier_gc() -> StampMechanism<N, crate::gc::FrontierGc<N>> {
         StampMechanism::with_policy(crate::gc::FrontierGc::new())
     }
-
-    /// A mechanism selecting reducing/non-reducing from a runtime
-    /// [`Reduction`] flag (one mechanism type for both).
-    #[must_use]
-    pub fn with_reduction(reduction: Reduction) -> StampMechanism<N, Reduction> {
-        StampMechanism::with_policy(reduction)
-    }
-}
-
-impl<N: NameLike> StampMechanism<N, Reduction> {
-    /// The reduction flag in force.
-    #[must_use]
-    pub fn reduction(&self) -> Reduction {
-        self.policy
-    }
 }
 
 impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
@@ -177,17 +161,13 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
 
     fn mechanism_name(&self) -> &'static str {
         // The default representation (packed) keeps the historical
-        // unsuffixed names; the others are labelled so ablation tables stay
-        // unambiguous.
+        // unsuffixed names; the set oracle is labelled so ablation tables
+        // stay unambiguous.
         match (N::REPR_NAME, self.policy.policy_name()) {
             ("packed", "eager") => "version-stamps",
             ("packed", "none") => "version-stamps-nonreducing",
             ("packed", "deferred") => "version-stamps-deferred",
             ("packed", "frontier-gc") => "version-stamps-gc",
-            ("tree", "eager") => "version-stamps-tree",
-            ("tree", "none") => "version-stamps-tree-nonreducing",
-            ("tree", "deferred") => "version-stamps-tree-deferred",
-            ("tree", "frontier-gc") => "version-stamps-tree-gc",
             ("set", "eager") => "version-stamps-set",
             ("set", "none") => "version-stamps-set-nonreducing",
             ("set", "deferred") => "version-stamps-set-deferred",
@@ -223,9 +203,9 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
     }
 
     fn size_bits(&self, element: &Self::Element) -> usize {
-        // Computed directly on the backing representation: the old
-        // round-trip through `to_tree_stamp()` rebuilt both tries on every
-        // sample and dominated the space experiments.
+        // Computed directly on the backing representation, with no trie
+        // rebuilt per sample: the space experiments sample every frontier
+        // element of every step.
         element.encoded_bits()
     }
 }
@@ -234,13 +214,9 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
 /// eager reduction — the workspace default.
 pub type VersionStampMechanism = StampMechanism<PackedName, Eager>;
 
-/// Version-stamp mechanism over the boxed trie representation; kept as a
-/// comparison point for the `repr` ablation (see [`crate::tree`] for the
-/// deprecation note).
-pub type TreeStampMechanism = StampMechanism<NameTree, Eager>;
-
-/// Version-stamp mechanism over the literal antichain representation; used
-/// by the `repr` ablation.
+/// Version-stamp mechanism over the literal antichain representation — the
+/// oracle the packed representation is property-tested against; used by
+/// the `repr` ablation.
 pub type SetStampMechanism = StampMechanism<Name, Eager>;
 
 /// Version-stamp mechanism over the flat tag-array representation (same as
@@ -256,15 +232,9 @@ mod tests {
 
     #[test]
     fn stamp_mechanism_constructors() {
-        let reducing: TreeStampMechanism = StampMechanism::reducing();
-        assert_eq!(reducing.mechanism_name(), "version-stamps-tree");
-        assert_eq!(ReductionPolicy::<NameTree>::policy_name(reducing.policy()), "eager");
-
-        let non_reducing = TreeStampMechanism::non_reducing();
-        assert_eq!(non_reducing.mechanism_name(), "version-stamps-tree-nonreducing");
-
         let packed: VersionStampMechanism = StampMechanism::reducing();
         assert_eq!(packed.mechanism_name(), "version-stamps");
+        assert_eq!(ReductionPolicy::<PackedName>::policy_name(packed.policy()), "eager");
         assert_eq!(
             VersionStampMechanism::non_reducing().mechanism_name(),
             "version-stamps-nonreducing"
@@ -276,18 +246,8 @@ mod tests {
             SetStampMechanism::non_reducing().mechanism_name(),
             "version-stamps-set-nonreducing"
         );
-        assert_eq!(
-            TreeStampMechanism::deferred(4).mechanism_name(),
-            "version-stamps-tree-deferred"
-        );
+        assert_eq!(SetStampMechanism::deferred(4).mechanism_name(), "version-stamps-set-deferred");
         assert_eq!(SetStampMechanism::frontier_gc().mechanism_name(), "version-stamps-set-gc");
-
-        let explicit = TreeStampMechanism::with_reduction(Reduction::Reducing);
-        assert_eq!(explicit.reduction(), Reduction::Reducing);
-        assert_eq!(explicit.mechanism_name(), "version-stamps-tree");
-        let flag = VersionStampMechanism::with_reduction(Reduction::NonReducing);
-        assert_eq!(flag.reduction(), Reduction::NonReducing);
-        assert_eq!(flag.mechanism_name(), "version-stamps-nonreducing");
 
         let default: VersionStampMechanism = StampMechanism::default();
         assert_eq!(default, StampMechanism::new());

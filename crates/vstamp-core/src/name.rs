@@ -46,7 +46,8 @@ use crate::relation::Relation;
 ///
 /// The representation is the literal one from the paper: an explicit set of
 /// strings, kept in antichain normal form (no element is a prefix of
-/// another). The isomorphic packed representation is [`crate::NameTree`].
+/// another). It is the oracle: the production representation,
+/// [`crate::PackedName`], is property-tested against it.
 ///
 /// Constructing a `Name` through any of its public constructors always yields
 /// an antichain: dominated strings are discarded eagerly, so e.g.

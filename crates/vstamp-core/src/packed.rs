@@ -1,11 +1,12 @@
-//! Flat, cache-friendly encoding of names: the third representation.
+//! Flat, cache-friendly encoding of names: the production representation.
 //!
-//! [`PackedName`] stores the same canonical binary trie as
-//! [`NameTree`](crate::NameTree), but as a **preorder array of 2-bit node
-//! tags** (`Empty` / `Elem` / `Node`) packed four to a byte, held inline for
-//! up to [`INLINE_TAGS`] nodes and spilling to the heap beyond. Where the
-//! boxed trie chases two pointers per interior node and allocates on every
-//! construction, the packed form is a handful of contiguous bytes:
+//! [`PackedName`] stores a name's canonical binary trie (a node per string
+//! prefix, the element strings at its leaves) as a **preorder array of
+//! 2-bit node tags** (`Empty` / `Elem` / `Node`) packed four to a byte,
+//! held inline for up to [`INLINE_TAGS`] nodes and spilling to the heap
+//! beyond. Where a boxed trie chases two pointers per interior node and
+//! allocates on every construction, the packed form is a handful of
+//! contiguous bytes:
 //!
 //! * `leq`, `join`, `append`, `contains` and `reduce_pair` are **iterative**
 //!   — explicit cursors and small stacks, no recursion, and no per-node
@@ -16,8 +17,8 @@
 //!   array (`Empty ↦ 0`, `Elem ↦ 10`, `Node ↦ 11`), so encode/decode are
 //!   single passes.
 //!
-//! The representation is proptest-equivalent to [`Name`] and
-//! `NameTree` (see `tests/repr_equivalence.rs`) and slots into the stamp
+//! The representation is proptest-equivalent to the [`Name`] oracle (see
+//! `tests/repr_equivalence.rs`) and slots into the stamp
 //! machinery through [`NameLike`](crate::NameLike) as
 //! [`PackedStamp`](crate::PackedStamp) /
 //! [`PackedStampMechanism`](crate::PackedStampMechanism).
@@ -1304,7 +1305,7 @@ impl PackedName {
     ///
     /// The sorted antichain order *is* the preorder leaf order of the trie,
     /// so the tags are emitted directly from a radix partition of the
-    /// sorted strings — the intermediate boxed trie is never built.
+    /// sorted strings — no intermediate trie is built.
     #[must_use]
     pub fn from_name(name: &Name) -> PackedName {
         let strings: Vec<&BitString> = name.iter().collect();
@@ -1496,8 +1497,9 @@ impl PackedName {
                         rev_i.truncate(mi);
                         rev_i.push(ELEM);
                     } else if i_vanishes {
-                        // Only reachable from non-canonical input; mirror the
-                        // smart constructor of the boxed trie.
+                        // Only reachable from non-canonical input: a node
+                        // with two empty children collapses to `Empty`, so
+                        // the output stays canonical.
                         rev_i.truncate(mi);
                         rev_i.push(EMPTY);
                     } else {
@@ -1657,7 +1659,8 @@ impl FromStr for PackedName {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::NameTree;
+    use crate::name_like::NameLike;
+    use crate::simplify::reduce_name_pair;
 
     fn name(s: &str) -> Name {
         s.parse().expect("valid name literal")
@@ -1696,29 +1699,24 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_tree_on_all_operations() {
+    fn agrees_with_set_on_all_operations() {
         for a in SAMPLES {
             for b in SAMPLES {
                 let (na, nb) = (name(a), name(b));
-                let (ta, tb) = (NameTree::from_name(&na), NameTree::from_name(&nb));
                 let (pa, pb) = (PackedName::from_name(&na), PackedName::from_name(&nb));
-                assert_eq!(pa.leq(&pb), ta.leq(&tb), "leq mismatch {a} vs {b}");
-                assert_eq!(pa.lt(&pb), ta.lt(&tb), "lt mismatch {a} vs {b}");
-                assert_eq!(pa.relation(&pb), ta.relation(&tb));
-                assert_eq!(
-                    pa.join(&pb).to_name(),
-                    ta.join(&tb).to_name(),
-                    "join mismatch {a} ⊔ {b}"
-                );
+                assert_eq!(pa.leq(&pb), na.leq(&nb), "leq mismatch {a} vs {b}");
+                assert_eq!(pa.lt(&pb), na.lt(&nb), "lt mismatch {a} vs {b}");
+                assert_eq!(pa.relation(&pb), na.relation(&nb));
+                assert_eq!(pa.join(&pb).to_name(), na.join(&nb), "join mismatch {a} ⊔ {b}");
             }
         }
     }
 
     #[test]
-    fn append_matches_tree_append() {
+    fn append_matches_set_append() {
         for a in SAMPLES {
             for bit in [Bit::Zero, Bit::One] {
-                let expected = NameTree::from_name(&name(a)).append(bit).to_name();
+                let expected = name(a).append(bit);
                 assert_eq!(packed(a).append(bit).to_name(), expected, "append mismatch {a}·{bit}");
             }
         }
@@ -1772,11 +1770,7 @@ mod tests {
             assert_eq!(p.string_count(), n.len(), "string_count mismatch for {a}");
             assert_eq!(p.bit_size(), n.bit_size(), "bit_size mismatch for {a}");
             assert_eq!(p.depth(), n.depth(), "depth mismatch for {a}");
-            assert_eq!(
-                p.node_count(),
-                NameTree::from_name(&n).node_count(),
-                "node_count mismatch for {a}"
-            );
+            assert_eq!(p.node_count(), n.tag_count(), "node_count mismatch for {a}");
         }
     }
 
@@ -1799,16 +1793,16 @@ mod tests {
     }
 
     #[test]
-    fn reduce_pair_matches_tree_reduction() {
+    fn reduce_pair_matches_set_reduction() {
+        // Stamp-shaped pairs only (Invariant I1, `u ⊑ i`): the rule is
+        // defined on stamps, and outside them the two implementations may
+        // legitimately disagree.
         for u in SAMPLES {
-            for i in SAMPLES {
-                let (tu, ti) = NameTree::reduce_pair(
-                    &NameTree::from_name(&name(u)),
-                    &NameTree::from_name(&name(i)),
-                );
+            for i in SAMPLES.iter().filter(|i| name(u).leq(&name(i))) {
+                let (nu, ni) = reduce_name_pair(&name(u), &name(i));
                 let (pu, pi) = PackedName::reduce_pair(&packed(u), &packed(i));
-                assert_eq!(pu.to_name(), tu.to_name(), "reduce update mismatch ({u}, {i})");
-                assert_eq!(pi.to_name(), ti.to_name(), "reduce id mismatch ({u}, {i})");
+                assert_eq!(pu.to_name(), nu, "reduce update mismatch ({u}, {i})");
+                assert_eq!(pi.to_name(), ni, "reduce id mismatch ({u}, {i})");
             }
         }
     }

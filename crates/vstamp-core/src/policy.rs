@@ -25,10 +25,6 @@
 //!   [`gc`](crate::gc) module), the answer to the identity-fragmentation
 //!   wall measured in ROADMAP.
 //!
-//! [`Reduction`] itself also implements the trait, as a runtime-dispatched
-//! policy, so code that selects reducing/non-reducing from a flag keeps one
-//! mechanism type.
-//!
 //! Policies are *mechanism-level* state (see
 //! [`StampMechanism`](crate::StampMechanism)): the version-stamp operations
 //! on [`Stamp`] itself remain pure and stateless, exactly as in the paper.
@@ -144,22 +140,6 @@ impl<N: NameLike> ReductionPolicy<N> for Deferred {
     }
 }
 
-/// The legacy on/off flag as a runtime-dispatched policy, for call sites
-/// that select reducing/non-reducing dynamically while keeping a single
-/// mechanism type.
-impl<N: NameLike> ReductionPolicy<N> for Reduction {
-    fn policy_name(&self) -> &'static str {
-        match self {
-            Reduction::Reducing => "eager",
-            Reduction::NonReducing => "none",
-        }
-    }
-
-    fn join(&mut self, left: &Stamp<N>, right: &Stamp<N>) -> Stamp<N> {
-        left.join_with(right, *self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,16 +170,5 @@ mod tests {
         let mut eager_ish = Deferred::new(0);
         assert_eq!(ReductionPolicy::join(&mut eager_ish, &a, &b), VersionStamp::seed());
         assert_eq!(ReductionPolicy::<crate::PackedName>::policy_name(&lazy), "deferred");
-    }
-
-    #[test]
-    fn reduction_flag_acts_as_runtime_policy() {
-        let (a, b) = VersionStamp::seed().fork();
-        let mut reducing = Reduction::Reducing;
-        let mut plain = Reduction::NonReducing;
-        assert_eq!(ReductionPolicy::join(&mut reducing, &a, &b), a.join(&b));
-        assert_eq!(ReductionPolicy::join(&mut plain, &a, &b), a.join_non_reducing(&b));
-        assert_eq!(ReductionPolicy::<crate::PackedName>::policy_name(&reducing), "eager");
-        assert_eq!(ReductionPolicy::<crate::PackedName>::policy_name(&plain), "none");
     }
 }

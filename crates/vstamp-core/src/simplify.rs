@@ -17,7 +17,7 @@
 //! invariant-preservation argument of the paper directly.
 //!
 //! The packed representation has its own linear-time implementation of the
-//! same rule ([`crate::NameTree::reduce_pair`]); the two are property-tested
+//! same rule ([`crate::PackedName::reduce_pair`]); the two are property-tested
 //! against each other.
 
 use crate::bitstring::{Bit, BitString};
@@ -168,7 +168,7 @@ pub fn reduction_steps(update: &Name, id: &Name) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::NameTree;
+    use crate::packed::PackedName;
 
     fn name(s: &str) -> Name {
         s.parse().expect("valid name literal")
@@ -266,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_tree_reduction() {
+    fn agrees_with_packed_reduction() {
         let cases = [
             ("{}", "{ε}"),
             ("{ε}", "{ε}"),
@@ -280,12 +280,12 @@ mod tests {
         ];
         for (u, i) in cases {
             let (nu, ni) = reduce_name_pair(&name(u), &name(i));
-            let (tu, ti) = NameTree::reduce_pair(
-                &NameTree::from_name(&name(u)),
-                &NameTree::from_name(&name(i)),
+            let (pu, pi) = PackedName::reduce_pair(
+                &PackedName::from_name(&name(u)),
+                &PackedName::from_name(&name(i)),
             );
-            assert_eq!(tu.to_name(), nu, "update mismatch for ({u}, {i})");
-            assert_eq!(ti.to_name(), ni, "id mismatch for ({u}, {i})");
+            assert_eq!(pu.to_name(), nu, "update mismatch for ({u}, {i})");
+            assert_eq!(pi.to_name(), ni, "id mismatch for ({u}, {i})");
         }
     }
 

@@ -53,7 +53,6 @@ use crate::name::Name;
 use crate::name_like::NameLike;
 use crate::packed::PackedName;
 use crate::relation::Relation;
-use crate::tree::NameTree;
 
 /// Whether joins apply the simplification rule of Section 6.
 ///
@@ -92,7 +91,7 @@ impl fmt::Display for Reduction {
 ///
 /// Use the [`VersionStamp`] alias (packed tag array, the workspace default)
 /// unless you specifically want the literal antichain representation
-/// ([`SetStamp`]) or the boxed trie ([`TreeStamp`]).
+/// ([`SetStamp`]), the oracle.
 #[derive(Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stamp<N = PackedName> {
@@ -108,13 +107,6 @@ pub type VersionStamp = Stamp<PackedName>;
 /// Version stamp backed by the literal antichain-of-strings representation
 /// of the paper; used by the model-level tests and the `repr` ablation.
 pub type SetStamp = Stamp<Name>;
-
-/// Version stamp backed by the boxed binary-trie representation.
-///
-/// Historical default up to the packed-name flip; kept as a comparison
-/// representation for the `repr` ablation and structure-sharing workloads.
-/// New code should prefer [`VersionStamp`].
-pub type TreeStamp = Stamp<NameTree>;
 
 /// Version stamp backed by the flat preorder tag array (same as
 /// [`VersionStamp`]; kept for ablation-table symmetry).
@@ -367,15 +359,6 @@ impl<N: NameLike> Stamp<N> {
         Stamp { update: self.update.to_name(), id: self.id.to_name() }
     }
 
-    /// Converts to the boxed trie representation.
-    #[must_use]
-    pub fn to_tree_stamp(&self) -> TreeStamp {
-        Stamp {
-            update: NameTree::from_name(&self.update.to_name()),
-            id: NameTree::from_name(&self.id.to_name()),
-        }
-    }
-
     /// Converts to the flat tag-array representation.
     #[must_use]
     pub fn to_packed_stamp(&self) -> PackedStamp {
@@ -413,26 +396,8 @@ impl<N: NameLike> fmt::Debug for Stamp<N> {
     }
 }
 
-impl From<SetStamp> for TreeStamp {
-    fn from(stamp: SetStamp) -> Self {
-        stamp.to_tree_stamp()
-    }
-}
-
-impl From<TreeStamp> for SetStamp {
-    fn from(stamp: TreeStamp) -> Self {
-        stamp.to_set_stamp()
-    }
-}
-
 impl From<SetStamp> for PackedStamp {
     fn from(stamp: SetStamp) -> Self {
-        stamp.to_packed_stamp()
-    }
-}
-
-impl From<TreeStamp> for PackedStamp {
-    fn from(stamp: TreeStamp) -> Self {
         stamp.to_packed_stamp()
     }
 }
@@ -440,12 +405,6 @@ impl From<TreeStamp> for PackedStamp {
 impl From<PackedStamp> for SetStamp {
     fn from(stamp: PackedStamp) -> Self {
         stamp.to_set_stamp()
-    }
-}
-
-impl From<PackedStamp> for TreeStamp {
-    fn from(stamp: PackedStamp) -> Self {
-        stamp.to_tree_stamp()
     }
 }
 
@@ -599,11 +558,8 @@ mod tests {
         assert_eq!(packed_a.bit_size(), a.bit_size());
         assert_eq!(packed_a.string_count(), a.string_count());
         assert_eq!(packed_a.depth(), a.depth());
-        let tree_a: TreeStamp = a.clone().into();
-        let round: PackedStamp = tree_a.clone().into();
-        assert_eq!(round, packed_a);
-        let tree_back: TreeStamp = round.into();
-        assert_eq!(tree_back, tree_a);
+        assert_eq!(a.to_packed_stamp(), packed_a);
+        assert_eq!(packed_a.to_packed_stamp(), packed_a);
     }
 
     #[test]

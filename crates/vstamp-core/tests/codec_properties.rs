@@ -8,9 +8,7 @@ use vstamp_core::codec::{
     read_delta_frame, read_frame, read_varint, write_delta_frame, write_frame, write_varint,
     BitTrieCodec, DeltaFrame, StampCodec, VarintCodec,
 };
-use vstamp_core::{
-    Bit, BitString, DecodeError, Name, NameLike, NameTree, PackedName, VersionStamp,
-};
+use vstamp_core::{Bit, BitString, DecodeError, Name, NameLike, PackedName, VersionStamp};
 
 /// Strategy producing arbitrary binary strings up to `max_len` bits.
 fn bitstring(max_len: usize) -> impl Strategy<Value = BitString> {
@@ -71,14 +69,12 @@ fn never_panics<N: NameLike, C: StampCodec<N>>(codec: &C, bytes: &[u8]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Both codecs round-trip names in all three representations.
+    /// Both codecs round-trip names in both representations.
     #[test]
     fn names_roundtrip_everywhere(n in name(7, 10)) {
         roundtrip_name::<Name, _>(&BitTrieCodec, &n);
-        roundtrip_name::<NameTree, _>(&BitTrieCodec, &n);
         roundtrip_name::<PackedName, _>(&BitTrieCodec, &n);
         roundtrip_name::<Name, _>(&VarintCodec, &n);
-        roundtrip_name::<NameTree, _>(&VarintCodec, &n);
         roundtrip_name::<PackedName, _>(&VarintCodec, &n);
     }
 
@@ -87,23 +83,18 @@ proptest! {
     #[test]
     fn bit_codec_is_representation_independent(n in name(7, 10)) {
         let set_bytes = StampCodec::<Name>::encode_name(&BitTrieCodec, &n);
-        let tree = NameTree::from_name(&n);
         let packed = PackedName::from_name(&n);
-        prop_assert_eq!(&set_bytes, &StampCodec::<NameTree>::encode_name(&BitTrieCodec, &tree));
         prop_assert_eq!(&set_bytes, &StampCodec::<PackedName>::encode_name(&BitTrieCodec, &packed));
-        prop_assert_eq!(&set_bytes, &vstamp_core::encode::encode_tree(&tree));
-        prop_assert_eq!(set_bytes.len(), vstamp_core::encode::encoded_tree_bits(&tree).div_ceil(8));
+        prop_assert_eq!(&set_bytes, &vstamp_core::encode::encode_name(&n));
+        prop_assert_eq!(set_bytes.len(), vstamp_core::encode::encoded_name_bits(&n).div_ceil(8));
     }
 
     /// The varint codec is representation independent too.
     #[test]
     fn varint_codec_is_representation_independent(n in name(7, 10)) {
         let set_bytes = StampCodec::<Name>::encode_name(&VarintCodec, &n);
-        let tree_bytes =
-            StampCodec::<NameTree>::encode_name(&VarintCodec, &NameTree::from_name(&n));
         let packed_bytes =
             StampCodec::<PackedName>::encode_name(&VarintCodec, &PackedName::from_name(&n));
-        prop_assert_eq!(&set_bytes, &tree_bytes);
         prop_assert_eq!(&set_bytes, &packed_bytes);
     }
 
@@ -114,10 +105,9 @@ proptest! {
         prop_assert_eq!(BitTrieCodec.decode_stamp(&BitTrieCodec.encode_stamp(&s)).unwrap(), s.clone());
         prop_assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&s)).unwrap(), s.clone());
         prop_assert_eq!(BitTrieCodec.encode_stamp(&s), vstamp_core::encode::encode_stamp(&s));
-        let tree = s.to_tree_stamp();
-        prop_assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&tree)).unwrap(), tree);
         let set = s.to_set_stamp();
-        prop_assert_eq!(BitTrieCodec.decode_stamp(&BitTrieCodec.encode_stamp(&set)).unwrap(), set);
+        prop_assert_eq!(BitTrieCodec.decode_stamp(&BitTrieCodec.encode_stamp(&set)).unwrap(), set.clone());
+        prop_assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&set)).unwrap(), set);
     }
 
     /// Every strict prefix of a valid encoding fails to decode — and fails
@@ -148,10 +138,8 @@ proptest! {
     #[test]
     fn fuzzing_decoders_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         never_panics::<PackedName, _>(&BitTrieCodec, &bytes);
-        never_panics::<NameTree, _>(&BitTrieCodec, &bytes);
         never_panics::<Name, _>(&BitTrieCodec, &bytes);
         never_panics::<PackedName, _>(&VarintCodec, &bytes);
-        never_panics::<NameTree, _>(&VarintCodec, &bytes);
         never_panics::<Name, _>(&VarintCodec, &bytes);
         let mut input = bytes.as_slice();
         let _ = read_frame(&mut input);
@@ -184,10 +172,8 @@ proptest! {
     fn delta_frames_roundtrip_every_representation(n in name(7, 10), ctx_fp in any::<u64>()) {
         for bytes in [
             StampCodec::<Name>::encode_name(&BitTrieCodec, &n),
-            StampCodec::<NameTree>::encode_name(&BitTrieCodec, &NameTree::from_name(&n)),
             StampCodec::<PackedName>::encode_name(&BitTrieCodec, &PackedName::from_name(&n)),
             StampCodec::<Name>::encode_name(&VarintCodec, &n),
-            StampCodec::<NameTree>::encode_name(&VarintCodec, &NameTree::from_name(&n)),
             StampCodec::<PackedName>::encode_name(&VarintCodec, &PackedName::from_name(&n)),
         ] {
             for frame in [

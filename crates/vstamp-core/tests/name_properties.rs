@@ -1,9 +1,9 @@
-//! Property tests for names: partial-order and semilattice laws, agreement
-//! between the antichain and trie representations, and wire-encoding
-//! round-trips.
+//! Property tests for names: partial-order and semilattice laws and
+//! wire-encoding round-trips. Agreement between the antichain and packed
+//! representations lives in `repr_equivalence.rs`.
 
 use proptest::prelude::*;
-use vstamp_core::{encode, Bit, BitString, Name, NameTree};
+use vstamp_core::{encode, Bit, BitString, Name};
 
 /// Strategy producing arbitrary binary strings up to `max_len` bits.
 fn bitstring(max_len: usize) -> impl Strategy<Value = BitString> {
@@ -95,29 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn tree_representation_agrees_with_set(a in name(6, 8), b in name(6, 8)) {
-        let (ta, tb) = (NameTree::from_name(&a), NameTree::from_name(&b));
-        prop_assert!(ta.is_canonical());
-        prop_assert_eq!(ta.to_name(), a.clone());
-        prop_assert_eq!(ta.leq(&tb), a.leq(&b));
-        prop_assert_eq!(ta.join(&tb).to_name(), a.join(&b));
-        prop_assert_eq!(ta.relation(&tb), a.relation(&b));
-        prop_assert_eq!(ta.string_count(), a.len());
-        prop_assert_eq!(ta.bit_size(), a.bit_size());
-        prop_assert_eq!(ta.depth(), a.depth());
-        for bit in [Bit::Zero, Bit::One] {
-            prop_assert_eq!(ta.append(bit).to_name(), a.append(bit));
-        }
-    }
-
-    #[test]
-    fn tree_membership_agrees_with_set(n in name(6, 8), s in bitstring(7)) {
-        let t = NameTree::from_name(&n);
-        prop_assert_eq!(t.contains(&s), n.contains(&s));
-        prop_assert_eq!(t.dominates_string(&s), n.dominates_string(&s));
-    }
-
-    #[test]
     fn name_display_parse_roundtrip(n in name(6, 8)) {
         let text = n.to_string();
         let parsed: Name = text.parse().expect("display output must parse");
@@ -130,13 +107,6 @@ proptest! {
         prop_assert_eq!(encode::decode_name(&bytes).expect("roundtrip"), n.clone());
         // encoded size is consistent with the bit accounting
         prop_assert_eq!(bytes.len(), encode::encoded_name_bits(&n).div_ceil(8));
-    }
-
-    #[test]
-    fn encoding_roundtrip_tree(n in name(7, 10)) {
-        let t = NameTree::from_name(&n);
-        let bytes = encode::encode_tree(&t);
-        prop_assert_eq!(encode::decode_tree(&bytes).expect("roundtrip"), t);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Property tests asserting the three name representations — the literal
-//! antichain set [`Name`], the boxed trie [`NameTree`] and the flat tag
-//! array [`PackedName`] — are indistinguishable: every `NameLike` operation
-//! commutes with the conversions, over both random names and random
-//! fork/join/update traces.
+//! Property tests asserting the two name representations — the literal
+//! antichain set [`Name`] (the oracle) and the flat tag array
+//! [`PackedName`] (production) — are indistinguishable: every `NameLike`
+//! operation commutes with the conversions, over both random names and
+//! random fork/join/update traces.
 
 use proptest::prelude::*;
 use vstamp_core::{
-    Bit, BitString, Mechanism, Name, NameLike, NameTree, PackedName, PackedStampMechanism,
-    SetStampMechanism, Trace, TreeStampMechanism,
+    Bit, BitString, Mechanism, Name, NameLike, PackedName, SetStampMechanism, Trace,
+    VersionStampMechanism,
 };
 
 /// Strategy producing arbitrary binary strings up to `max_len` bits.
@@ -65,48 +65,40 @@ fn run_script<M: Mechanism>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Round-trip conversions are the identity on every representation.
+    /// Round-trip conversions are the identity on both representations.
     #[test]
     fn conversions_roundtrip(n in name(7, 10)) {
-        let tree = NameTree::from_name(&n);
         let packed = PackedName::from_name(&n);
-        prop_assert_eq!(tree.to_name(), n.clone());
         prop_assert_eq!(packed.to_name(), n.clone());
         // Cross-conversion through the NameLike seam.
-        prop_assert_eq!(<PackedName as NameLike>::from_name(&tree.to_name()), packed.clone());
-        prop_assert_eq!(<NameTree as NameLike>::from_name(&packed.to_name()), tree.clone());
+        prop_assert_eq!(<PackedName as NameLike>::from_name(&n), packed.clone());
+        prop_assert_eq!(<Name as NameLike>::from_name(&packed.to_name()), n.clone());
     }
 
-    /// `leq` and `relation` agree across all three representations.
+    /// `leq` and `relation` agree across the representations.
     #[test]
     fn order_agrees(a in name(6, 8), b in name(6, 8)) {
-        let (ta, tb) = (NameTree::from_name(&a), NameTree::from_name(&b));
         let (pa, pb) = (PackedName::from_name(&a), PackedName::from_name(&b));
         prop_assert_eq!(pa.leq(&pb), a.leq(&b));
-        prop_assert_eq!(ta.leq(&tb), a.leq(&b));
         prop_assert_eq!(pa.relation(&pb), a.relation(&b));
-        prop_assert_eq!(ta.relation(&tb), a.relation(&b));
     }
 
-    /// `join` agrees across all three representations.
+    /// `join` agrees across the representations.
     #[test]
     fn join_agrees(a in name(6, 8), b in name(6, 8)) {
         let expected = a.join(&b);
-        let tree = NameTree::from_name(&a).join(&NameTree::from_name(&b));
         let packed = PackedName::from_name(&a).join(&PackedName::from_name(&b));
-        prop_assert_eq!(tree.to_name(), expected.clone());
         prop_assert_eq!(packed.to_name(), expected.clone());
         // The packed caches must stay coherent through the operation.
         prop_assert_eq!(packed.string_count(), expected.len());
         prop_assert_eq!(packed.bit_size(), expected.bit_size());
     }
 
-    /// `append` agrees across all three representations.
+    /// `append` agrees across the representations.
     #[test]
     fn append_agrees(n in name(6, 8), bit in any::<bool>()) {
         let bit = Bit::from(bit);
         let expected = n.append(bit);
-        prop_assert_eq!(NameTree::from_name(&n).append(bit).to_name(), expected.clone());
         let packed = PackedName::from_name(&n).append(bit);
         prop_assert_eq!(packed.to_name(), expected.clone());
         prop_assert_eq!(packed.bit_size(), expected.bit_size());
@@ -116,69 +108,57 @@ proptest! {
     /// Membership and domination agree across the representations.
     #[test]
     fn membership_agrees(n in name(6, 8), s in bitstring(7)) {
-        let tree = NameTree::from_name(&n);
         let packed = PackedName::from_name(&n);
         prop_assert_eq!(packed.contains(&s), n.contains(&s));
-        prop_assert_eq!(tree.contains(&s), n.contains(&s));
         prop_assert_eq!(packed.dominates_string(&s), n.dominates_string(&s));
-        prop_assert_eq!(tree.dominates_string(&s), n.dominates_string(&s));
     }
 
-    /// The Section-6 simplification computes the same normal form in all
-    /// three representations, on stamp-shaped random pairs.
+    /// The Section-6 simplification computes the same normal form in both
+    /// representations, on stamp-shaped random pairs.
     #[test]
     fn reduce_pair_agrees(u in name(5, 6), i in name(5, 6)) {
         let (nu, ni) = <Name as NameLike>::reduce_pair(&u, &i);
-        let (tu, ti) = NameTree::reduce_pair(&NameTree::from_name(&u), &NameTree::from_name(&i));
         let (pu, pi) = PackedName::reduce_pair(&PackedName::from_name(&u), &PackedName::from_name(&i));
-        prop_assert_eq!(tu.to_name(), nu.clone(), "tree update mismatch ({u}, {i})");
-        prop_assert_eq!(ti.to_name(), ni.clone(), "tree id mismatch ({u}, {i})");
         prop_assert_eq!(pu.to_name(), nu, "packed update mismatch ({u}, {i})");
         prop_assert_eq!(pi.to_name(), ni, "packed id mismatch ({u}, {i})");
     }
 
     /// Wire-encoding sizes agree bit-for-bit, and the packed encoder emits
-    /// the exact bytes of the tree encoder.
+    /// the exact bytes of the set encoder.
     #[test]
     fn encodings_are_identical(n in name(7, 10)) {
         use vstamp_core::encode;
-        let tree = NameTree::from_name(&n);
         let packed = PackedName::from_name(&n);
-        prop_assert_eq!(NameLike::encoded_bits(&n), encode::encoded_tree_bits(&tree));
-        prop_assert_eq!(NameLike::encoded_bits(&packed), encode::encoded_tree_bits(&tree));
-        let tree_bytes = encode::encode_tree(&tree);
+        prop_assert_eq!(NameLike::encoded_bits(&packed), NameLike::encoded_bits(&n));
+        let set_bytes = encode::encode_name(&n);
         let packed_bytes = encode::encode_packed(&packed);
-        prop_assert_eq!(&tree_bytes, &packed_bytes, "wire bytes differ for {n}");
-        prop_assert_eq!(encode::decode_packed(&tree_bytes).expect("roundtrip"), packed);
+        prop_assert_eq!(&set_bytes, &packed_bytes, "wire bytes differ for {n}");
+        prop_assert_eq!(set_bytes.len(), NameLike::encoded_bits(&n).div_ceil(8));
+        prop_assert_eq!(encode::decode_packed(&set_bytes).expect("roundtrip"), packed);
+        prop_assert_eq!(encode::decode_name(&packed_bytes).expect("roundtrip"), n);
     }
 
-    /// Replaying the same random trace through the set-, tree- and
-    /// packed-backed stamp mechanisms yields identical frontiers, relations
-    /// and sizes after every operation.
+    /// Replaying the same random trace through the set- and packed-backed
+    /// stamp mechanisms yields identical frontiers, relations and sizes
+    /// after every operation.
     #[test]
     fn mechanisms_replay_identically(script in script(40)) {
-        let (tree_config, trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (packed_config, trace) = run_script(VersionStampMechanism::reducing(), &script);
         let mut set_config = vstamp_core::Configuration::new(SetStampMechanism::reducing());
         set_config.apply_trace(&trace).expect("trace replays");
-        let mut packed_config = vstamp_core::Configuration::new(PackedStampMechanism::reducing());
-        packed_config.apply_trace(&trace).expect("trace replays");
 
-        prop_assert_eq!(tree_config.ids(), set_config.ids());
-        prop_assert_eq!(tree_config.ids(), packed_config.ids());
-        for id in tree_config.ids() {
-            let tree_stamp = tree_config.get(id).expect("listed id");
+        prop_assert_eq!(packed_config.ids(), set_config.ids());
+        for id in packed_config.ids() {
             let set_stamp = set_config.get(id).expect("listed id");
             let packed_stamp = packed_config.get(id).expect("listed id");
-            prop_assert_eq!(tree_stamp.to_set_stamp(), set_stamp.clone());
             prop_assert_eq!(packed_stamp.to_set_stamp(), set_stamp.clone());
-            prop_assert_eq!(packed_stamp.bit_size(), tree_stamp.bit_size());
-            prop_assert_eq!(packed_stamp.string_count(), tree_stamp.string_count());
-            prop_assert_eq!(packed_stamp.depth(), tree_stamp.depth());
-            prop_assert_eq!(packed_stamp.encoded_bits(), tree_stamp.encoded_bits());
+            prop_assert_eq!(packed_stamp.bit_size(), set_stamp.bit_size());
+            prop_assert_eq!(packed_stamp.string_count(), set_stamp.string_count());
+            prop_assert_eq!(packed_stamp.depth(), set_stamp.depth());
+            prop_assert_eq!(packed_stamp.encoded_bits(), set_stamp.encoded_bits());
         }
-        for (a, b, expected) in tree_config.pairwise_relations() {
+        for (a, b, expected) in set_config.pairwise_relations() {
             prop_assert_eq!(packed_config.relation(a, b).expect("same ids"), expected);
-            prop_assert_eq!(set_config.relation(a, b).expect("same ids"), expected);
         }
     }
 
@@ -186,17 +166,17 @@ proptest! {
     /// representation without losing equivalence.
     #[test]
     fn deep_fork_chains_stay_equivalent(bits in prop::collection::vec(any::<bool>(), 64..=160)) {
-        let mut tree = NameTree::epsilon();
+        let mut set = Name::epsilon();
         let mut packed = PackedName::epsilon();
         for &b in &bits {
             let bit = Bit::from(b);
-            tree = tree.append(bit);
+            set = set.append(bit);
             packed = packed.append(bit);
         }
-        prop_assert_eq!(packed.to_name(), tree.to_name());
+        prop_assert_eq!(packed.to_name(), set.clone());
         prop_assert_eq!(packed.depth(), bits.len());
         prop_assert_eq!(packed.bit_size(), bits.len());
         let joined = packed.join(&PackedName::epsilon());
-        prop_assert_eq!(joined.to_name(), tree.join(&NameTree::epsilon()).to_name());
+        prop_assert_eq!(joined.to_name(), set.join(&Name::epsilon()));
     }
 }

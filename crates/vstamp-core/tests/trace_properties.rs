@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use vstamp_core::causal::CausalMechanism;
 use vstamp_core::{
-    audit_configuration, Applied, Configuration, ElementId, Mechanism, Name, NameLike, NameTree,
-    Operation, Reduction, SetStampMechanism, StampMechanism, Trace, TreeStampMechanism,
+    audit_configuration, Applied, Configuration, ElementId, Mechanism, Name, NameLike, Operation,
+    PackedName, SetStampMechanism, StampMechanism, Trace, VersionStampMechanism,
 };
 
 /// A raw "script" of choices that is interpreted against the evolving
@@ -125,7 +125,7 @@ proptest! {
     /// Invariants I1–I3 hold after every operation, reducing mechanism.
     #[test]
     fn invariants_hold_reducing(script in script(40)) {
-        let mut config = Configuration::new(TreeStampMechanism::reducing());
+        let mut config = Configuration::new(VersionStampMechanism::reducing());
         let mut trace = Trace::new();
         for &(kind, x, y) in &script {
             let ids = config.ids();
@@ -154,7 +154,7 @@ proptest! {
     /// Invariants I1–I3 hold after every operation, non-reducing mechanism.
     #[test]
     fn invariants_hold_non_reducing(script in script(30)) {
-        let (config, trace) = run_script(TreeStampMechanism::non_reducing(), &script);
+        let (config, trace) = run_script(VersionStampMechanism::non_reducing(), &script);
         let _ = trace;
         audit_configuration(&config).assert_ok();
     }
@@ -162,7 +162,7 @@ proptest! {
     /// Corollary 5.2 (pairwise equivalence with causal histories), reducing.
     #[test]
     fn corollary_5_2_reducing(script in script(40)) {
-        let (stamps, trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (stamps, trace) = run_script(VersionStampMechanism::reducing(), &script);
         let causal = replay(CausalMechanism::new(), &trace);
         assert_corollary_5_2(&stamps, &causal);
     }
@@ -170,7 +170,7 @@ proptest! {
     /// Corollary 5.2, non-reducing model (Sections 4–5).
     #[test]
     fn corollary_5_2_non_reducing(script in script(40)) {
-        let (stamps, trace) = run_script(TreeStampMechanism::non_reducing(), &script);
+        let (stamps, trace) = run_script(VersionStampMechanism::non_reducing(), &script);
         let causal = replay(CausalMechanism::new(), &trace);
         assert_corollary_5_2(&stamps, &causal);
     }
@@ -186,7 +186,7 @@ proptest! {
     /// The stronger Proposition 5.1 (subset form), reducing mechanism.
     #[test]
     fn proposition_5_1_reducing(script in script(25)) {
-        let (stamps, trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (stamps, trace) = run_script(VersionStampMechanism::reducing(), &script);
         let causal = replay(CausalMechanism::new(), &trace);
         assert_proposition_5_1(&stamps, &causal);
     }
@@ -194,7 +194,7 @@ proptest! {
     /// The stronger Proposition 5.1 (subset form), non-reducing mechanism.
     #[test]
     fn proposition_5_1_non_reducing(script in script(25)) {
-        let (stamps, trace) = run_script(TreeStampMechanism::non_reducing(), &script);
+        let (stamps, trace) = run_script(VersionStampMechanism::non_reducing(), &script);
         let causal = replay(CausalMechanism::new(), &trace);
         assert_proposition_5_1(&stamps, &causal);
     }
@@ -203,8 +203,8 @@ proptest! {
     /// order (Section 6's preservation-of-R result).
     #[test]
     fn reduction_preserves_frontier_order(script in script(40)) {
-        let (reducing, trace) = run_script(TreeStampMechanism::reducing(), &script);
-        let non_reducing = replay(TreeStampMechanism::non_reducing(), &trace);
+        let (reducing, trace) = run_script(VersionStampMechanism::reducing(), &script);
+        let non_reducing = replay(VersionStampMechanism::non_reducing(), &trace);
         prop_assert_eq!(reducing.ids(), non_reducing.ids());
         for (a, b, expected) in non_reducing.pairwise_relations() {
             prop_assert_eq!(reducing.relation(a, b).expect("same ids"), expected);
@@ -215,8 +215,8 @@ proptest! {
     /// counterparts (the point of Section 6).
     #[test]
     fn reduction_never_costs_space(script in script(40)) {
-        let (reducing, trace) = run_script(TreeStampMechanism::reducing(), &script);
-        let non_reducing = replay(TreeStampMechanism::non_reducing(), &trace);
+        let (reducing, trace) = run_script(VersionStampMechanism::reducing(), &script);
+        let non_reducing = replay(VersionStampMechanism::non_reducing(), &trace);
         for id in reducing.ids() {
             let reduced = reducing.get(id).expect("listed id");
             let plain = non_reducing.get(id).expect("listed id");
@@ -229,34 +229,32 @@ proptest! {
         }
     }
 
-    /// Set- and tree-backed stamps replay to identical frontiers.
+    /// Set- and packed-backed stamps replay to identical frontiers.
     #[test]
     fn representations_replay_identically(script in script(30)) {
-        let (tree_config, trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (packed_config, trace) = run_script(VersionStampMechanism::reducing(), &script);
         let set_config = replay(SetStampMechanism::reducing(), &trace);
-        prop_assert_eq!(tree_config.ids(), set_config.ids());
-        for id in tree_config.ids() {
-            let tree_stamp = tree_config.get(id).expect("listed id");
+        prop_assert_eq!(packed_config.ids(), set_config.ids());
+        for id in packed_config.ids() {
+            let packed_stamp = packed_config.get(id).expect("listed id");
             let set_stamp = set_config.get(id).expect("listed id");
-            prop_assert_eq!(tree_stamp.to_set_stamp(), set_stamp.clone());
+            prop_assert_eq!(packed_stamp.to_set_stamp(), set_stamp.clone());
         }
     }
 
-    /// Every reachable stamp round-trips through the wire encoding — for
-    /// both the packed default and the boxed-trie comparison encoding.
+    /// Every reachable stamp round-trips through the wire encoding, and the
+    /// set oracle's stamps encode to the same bytes.
     #[test]
     fn reachable_stamps_roundtrip_encoding(script in script(30)) {
-        let (config, trace) = run_script(vstamp_core::VersionStampMechanism::non_reducing(), &script);
-        for (_, stamp) in config.iter() {
+        use vstamp_core::codec::{BitTrieCodec, StampCodec};
+        let (config, trace) = run_script(VersionStampMechanism::non_reducing(), &script);
+        let set_config = replay(SetStampMechanism::non_reducing(), &trace);
+        for (id, stamp) in config.iter() {
             let bytes = vstamp_core::encode::encode_stamp(stamp);
             let decoded = vstamp_core::encode::decode_stamp(&bytes).expect("reachable stamps are valid");
             prop_assert_eq!(&decoded, stamp);
-        }
-        let tree_config = replay(TreeStampMechanism::non_reducing(), &trace);
-        for (_, stamp) in tree_config.iter() {
-            let bytes = vstamp_core::encode::encode_tree_stamp(stamp);
-            let decoded = vstamp_core::encode::decode_tree_stamp(&bytes).expect("reachable stamps are valid");
-            prop_assert_eq!(&decoded, stamp);
+            let set_stamp = set_config.get(id).expect("same ids");
+            prop_assert_eq!(BitTrieCodec.encode_stamp(set_stamp), bytes);
         }
     }
 
@@ -264,7 +262,7 @@ proptest! {
     /// no intervening fork/join never changes any relation.
     #[test]
     fn repeated_update_is_absorbed(script in script(25), extra in any::<u8>()) {
-        let (mut config, _trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (mut config, _trace) = run_script(VersionStampMechanism::reducing(), &script);
         let ids = config.ids();
         let target = ids[extra as usize % ids.len()];
         let first = match config.apply(Operation::Update(target)).expect("live id") {
@@ -283,7 +281,7 @@ proptest! {
     /// identity to {ε} under the reducing mechanism.
     #[test]
     fn total_join_recovers_seed_identity(script in script(30)) {
-        let (mut config, _trace) = run_script(TreeStampMechanism::reducing(), &script);
+        let (mut config, _trace) = run_script(VersionStampMechanism::reducing(), &script);
         while config.len() > 1 {
             let ids = config.ids();
             config.apply(Operation::Join(ids[0], ids[1])).expect("live ids");
@@ -291,9 +289,9 @@ proptest! {
         let only = config.ids()[0];
         let stamp = config.get(only).expect("single element");
         prop_assert!(stamp.is_seed_identity(), "final identity is {}", stamp.id_name());
-        prop_assert_eq!(stamp.id_name(), &NameTree::epsilon());
+        prop_assert_eq!(stamp.id_name(), &PackedName::epsilon());
         // and its update component is therefore {ε} or below
-        prop_assert!(stamp.update_name().leq(&NameTree::epsilon()));
+        prop_assert!(stamp.update_name().leq(&PackedName::epsilon()));
         let as_name: Name = stamp.update_name().to_name();
         prop_assert!(as_name.leq(&Name::epsilon()));
     }
@@ -301,8 +299,8 @@ proptest! {
     /// Reduction policy never affects element identifiers or frontier size.
     #[test]
     fn policies_share_frontier_shape(script in script(30)) {
-        let (reducing, trace) = run_script(StampMechanism::<NameTree>::with_reduction(Reduction::Reducing), &script);
-        let non_reducing = replay(StampMechanism::<NameTree>::with_reduction(Reduction::NonReducing), &trace);
+        let (reducing, trace) = run_script(VersionStampMechanism::reducing(), &script);
+        let non_reducing = replay(VersionStampMechanism::non_reducing(), &trace);
         prop_assert_eq!(reducing.len(), non_reducing.len());
         prop_assert_eq!(reducing.ids(), non_reducing.ids());
     }

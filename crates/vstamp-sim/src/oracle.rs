@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::workload::{generate, OperationMix, WorkloadSpec};
     use vstamp_baselines::{DottedMechanism, FixedVersionVectorMechanism, VectorClockMechanism};
-    use vstamp_core::{StampMechanism, TreeStampMechanism, VersionStampMechanism};
+    use vstamp_core::{StampMechanism, VersionStampMechanism};
     use vstamp_itc::ItcMechanism;
 
     fn sample_trace(seed: u64) -> Trace {
@@ -122,7 +122,6 @@ mod tests {
             assert!(report.is_exact(), "disagreements: {:?}", report.disagreements);
             assert_eq!(report.mechanism, "version-stamps");
             assert!(check_against_oracle(VersionStampMechanism::frontier_gc(), &trace).is_exact());
-            assert!(check_against_oracle(TreeStampMechanism::reducing(), &trace).is_exact());
             assert_eq!(report.operations, trace.len());
             assert!(report.comparisons > 0);
             assert_eq!(report.agreement_ratio(), 1.0);
@@ -135,7 +134,7 @@ mod tests {
         // replay (they grow exponentially with sync cycles, see ROADMAP).
         let trace = generate(&WorkloadSpec::new(100, 8, 9).with_mix(OperationMix::update_heavy()));
         assert!(check_against_oracle(VersionStampMechanism::non_reducing(), &trace).is_exact());
-        assert!(check_against_oracle(TreeStampMechanism::non_reducing(), &trace).is_exact());
+        assert!(check_against_oracle(VersionStampMechanism::non_reducing(), &trace).is_exact());
         assert!(check_against_oracle(StampMechanism::<vstamp_core::Name>::reducing(), &trace)
             .is_exact());
         assert!(check_against_oracle(VersionStampMechanism::deferred(4), &trace).is_exact());

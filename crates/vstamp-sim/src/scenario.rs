@@ -315,7 +315,7 @@ pub fn figure2_causal_histories() -> Vec<(String, String)> {
 mod tests {
     use super::*;
     use vstamp_baselines::DynamicVersionVectorMechanism;
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
     use vstamp_itc::ItcMechanism;
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
         verify_figure1_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure1_relations(VersionStampMechanism::non_reducing()).unwrap();
         verify_figure1_relations(VersionStampMechanism::frontier_gc()).unwrap();
-        verify_figure1_relations(TreeStampMechanism::reducing()).unwrap();
+        verify_figure1_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure1_relations(FixedVersionVectorMechanism::new()).unwrap();
         verify_figure1_relations(DynamicVersionVectorMechanism::new()).unwrap();
         verify_figure1_relations(CausalMechanism::new()).unwrap();
@@ -351,7 +351,7 @@ mod tests {
         verify_figure2_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure2_relations(VersionStampMechanism::non_reducing()).unwrap();
         verify_figure2_relations(VersionStampMechanism::frontier_gc()).unwrap();
-        verify_figure2_relations(TreeStampMechanism::reducing()).unwrap();
+        verify_figure2_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure2_relations(FixedVersionVectorMechanism::new()).unwrap();
         verify_figure2_relations(CausalMechanism::new()).unwrap();
         verify_figure2_relations(ItcMechanism::new()).unwrap();

@@ -9,10 +9,10 @@
 //!
 //! ```
 //! use vstamp_sim::{figure4, viz};
-//! use vstamp_core::TreeStampMechanism;
+//! use vstamp_core::VersionStampMechanism;
 //!
 //! let scenario = figure4();
-//! let dot = viz::evolution_dot(TreeStampMechanism::reducing(), &scenario.trace, "figure4");
+//! let dot = viz::evolution_dot(VersionStampMechanism::reducing(), &scenario.trace, "figure4");
 //! assert!(dot.starts_with("digraph figure4"));
 //! ```
 
@@ -159,12 +159,12 @@ mod tests {
     use super::*;
     use crate::scenario::{figure1, figure2};
     use vstamp_core::causal::CausalMechanism;
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
 
     #[test]
     fn graph_counts_match_the_trace_structure() {
         let scenario = figure2();
-        let graph = evolution_graph(TreeStampMechanism::reducing(), &scenario.trace);
+        let graph = evolution_graph(VersionStampMechanism::reducing(), &scenario.trace);
         // one node per element ever created: initial + outputs of every op
         let expected_nodes: usize = 1 + scenario
             .trace
@@ -194,13 +194,13 @@ mod tests {
     fn dot_output_is_well_formed_for_every_mechanism() {
         let scenario = figure1();
         for dot in [
-            evolution_dot(TreeStampMechanism::reducing(), &scenario.trace, "fig1_stamps"),
+            evolution_dot(VersionStampMechanism::reducing(), &scenario.trace, "fig1_stamps"),
             evolution_dot(CausalMechanism::new(), &scenario.trace, "fig1_causal"),
         ] {
             assert!(dot.starts_with("digraph "));
             assert!(dot.trim_end().ends_with('}'));
             assert_eq!(dot.matches("->").count(), {
-                let graph = evolution_graph(TreeStampMechanism::reducing(), &scenario.trace);
+                let graph = evolution_graph(VersionStampMechanism::reducing(), &scenario.trace);
                 graph.edge_count()
             });
             assert!(dot.contains("peripheries=2"), "final frontier must be highlighted");
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn operation_lineage_is_recorded() {
         let scenario = figure1();
-        let graph = evolution_graph(TreeStampMechanism::reducing(), &scenario.trace);
+        let graph = evolution_graph(VersionStampMechanism::reducing(), &scenario.trace);
         // every edge points from an earlier element to a later one
         for edge in &graph.edges {
             assert!(edge.from.raw() < edge.to.raw(), "lineage must move forward: {edge:?}");

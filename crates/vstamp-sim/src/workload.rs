@@ -319,7 +319,7 @@ pub fn frontier_stats(trace: &Trace) -> FrontierStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
 
     #[test]
     fn operation_mix_presets() {
@@ -343,7 +343,7 @@ mod tests {
         let spec = WorkloadSpec::new(300, 10, 7).with_mix(OperationMix::churn_heavy());
         let trace = generate(&spec);
         assert_eq!(trace.len(), 300);
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         stamps.apply_trace(&trace).expect("replay against stamps");
         let mut causal = Configuration::new(vstamp_core::CausalMechanism::new());
         causal.apply_trace(&trace).expect("replay against causal histories");

@@ -11,7 +11,7 @@ use vstamp_baselines::{
     DottedMechanism, DynamicVersionVectorMechanism, FixedVersionVectorMechanism,
     RandomIdCausalMechanism, VectorClockMechanism,
 };
-use vstamp_core::{causal::CausalMechanism, TreeStampMechanism};
+use vstamp_core::{causal::CausalMechanism, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 
 fn main() {
@@ -39,8 +39,8 @@ fn main() {
         );
     }
 
-    row(TreeStampMechanism::reducing(), &trace);
-    row(TreeStampMechanism::non_reducing(), &prefix);
+    row(VersionStampMechanism::reducing(), &trace);
+    row(VersionStampMechanism::non_reducing(), &prefix);
     row(FixedVersionVectorMechanism::new(), &trace);
     row(DynamicVersionVectorMechanism::new(), &trace);
     row(VectorClockMechanism::new(), &trace);

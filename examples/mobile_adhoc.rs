@@ -12,7 +12,7 @@
 use vstamp::sim::workload::generate_partition_heal;
 use vstamp::sim::{check_against_oracle, compare_mechanisms, MechanismSet};
 use vstamp::{Configuration, Operation, Relation};
-use vstamp_core::TreeStampMechanism;
+use vstamp_core::VersionStampMechanism;
 
 fn main() {
     let seed = 20020310;
@@ -24,7 +24,7 @@ fn main() {
 
     // 1. Correctness: version stamps agree with the causal-history oracle on
     //    every intermediate comparison, despite the partitions.
-    let report = check_against_oracle(TreeStampMechanism::reducing(), &trace);
+    let report = check_against_oracle(VersionStampMechanism::reducing(), &trace);
     println!(
         "oracle agreement: {}/{} pairwise comparisons exact",
         report.comparisons - report.disagreements.len(),
@@ -39,7 +39,7 @@ fn main() {
 
     // 3. Convergence: merge whatever replicas remain and show the final
     //    frontier collapses to a single, seed-identity element.
-    let mut config = Configuration::new(TreeStampMechanism::reducing());
+    let mut config = Configuration::new(VersionStampMechanism::reducing());
     config.apply_trace(&trace).expect("trace replays");
     println!("\nfinal frontier width before healing everything: {}", config.len());
     while config.len() > 1 {
